@@ -239,7 +239,7 @@ PisoDiskScheduler::pick(const std::deque<DiskRequest> &queue,
     }
     if (idx == queue.size()) {
         // Only shared requests remain.
-        idx = CScanScheduler::pickAmong(queue, headSector, nullptr);
+        idx = CScanScheduler::pickAmong(queue, headSector);
     }
     return idx;
 }

@@ -61,27 +61,14 @@ class DiskBandwidthTracker
 
     Time halfLife() const { return halfLife_; }
 
-    /** @name Checkpoint — only the decayed counts; shares and parent
-     *  links are replayed by the deterministic setup phase. */
-    /// @{
+    /** Checkpoint: only the decayed counts; shares and parent links
+     *  are replayed by the deterministic setup phase. */
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        entries_.saveTable(w, [](CkptWriter &wr, const Entry &e) {
-            wr.f64(e.count);
-            wr.time(e.last);
-        });
+        ar(entries_);
     }
-
-    void
-    load(CkptReader &r)
-    {
-        entries_.loadTable(r, [](CkptReader &rd, Entry &e) {
-            e.count = rd.f64();
-            e.last = rd.time();
-        });
-    }
-    /// @}
 
   private:
     /** Decay state of one SPU's count; shares live in the ledger. */
@@ -89,6 +76,13 @@ class DiskBandwidthTracker
     {
         double count = 0.0;
         Time last = 0;
+
+        template <class Ar>
+        void
+        serialize(Ar &ar)
+        {
+            ar(count, last);
+        }
     };
 
     double decayed(const Entry &e, Time now) const;

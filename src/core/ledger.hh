@@ -22,7 +22,6 @@
 
 #include "src/core/share_tree.hh"
 #include "src/core/spu_table.hh"
-#include "src/sim/checkpoint.hh"
 #include "src/sim/ids.hh"
 
 namespace piso {
@@ -33,6 +32,13 @@ struct ResourceLevels
     std::uint64_t entitled = 0;  //!< initial share from the contract
     std::uint64_t allowed = 0;   //!< current cap (moves with sharing)
     std::uint64_t used = 0;      //!< units currently held
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(entitled, allowed, used);
+    }
 };
 
 /**
@@ -163,38 +169,25 @@ class ResourceLedger
     void entitleByShare(const ShareTree &tree, std::uint64_t divisible);
     /// @}
 
-    /** @name Checkpoint */
-    /// @{
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        w.u64(capacity_);
-        spus_.saveTable(w, [](CkptWriter &wr, const Entry &e) {
-            wr.u64(e.levels.entitled);
-            wr.u64(e.levels.allowed);
-            wr.u64(e.levels.used);
-            wr.f64(e.share);
-        });
+        ar(capacity_, spus_);
     }
-
-    void
-    load(CkptReader &r)
-    {
-        capacity_ = r.u64();
-        spus_.loadTable(r, [](CkptReader &rd, Entry &e) {
-            e.levels.entitled = rd.u64();
-            e.levels.allowed = rd.u64();
-            e.levels.used = rd.u64();
-            e.share = rd.f64();
-        });
-    }
-    /// @}
 
   private:
     struct Entry
     {
         ResourceLevels levels;
         double share = 1.0;
+
+        template <class Ar>
+        void
+        serialize(Ar &ar)
+        {
+            ar(levels, share);
+        }
     };
 
     const Entry &entry(SpuId spu) const;

@@ -58,25 +58,26 @@ class QuotaScheduler : public CpuScheduler
             nonEmpty_.erase(spu);
     }
 
-    void saveReady(CkptWriter &w) const override
+    void serializeReady(CkptWriter &w) override { serialize(w); }
+
+    void
+    serializeReady(CkptReader &r) override
     {
-        ready_.saveTable(
-            w, [](CkptWriter &wr, const std::list<Process *> &q) {
-                wr.u64(q.size());
-                for (const Process *p : q)
-                    wr.i64(p->pid());
-            });
+        serialize(r);
+        postLoad();
     }
 
-    void loadReady(CkptReader &r,
-                   const std::function<Process *(Pid)> &byPid) override
+    template <class Ar>
+    void
+    serialize(Ar &ar)
     {
-        ready_.loadTable(
-            r, [&byPid](CkptReader &rd, std::list<Process *> &q) {
-                const std::uint64_t n = rd.u64();
-                for (std::uint64_t i = 0; i < n; ++i)
-                    q.push_back(byPid(static_cast<Pid>(rd.i64())));
-            });
+        ar(ready_);
+    }
+
+    /** Rebuild the active set from the restored queues. */
+    void
+    postLoad()
+    {
         nonEmpty_.clear();
         // piso-lint: allow(hot-path-full-scan) -- restore-time rebuild
         // of the active set, not an event callback.
@@ -97,6 +98,8 @@ class QuotaScheduler : public CpuScheduler
      * order — the same order DenseTable iteration yields — so pick
      * order (and with it every golden) is unchanged.
      */
+    // piso-lint: allow(checkpoint-field-coverage) -- derived from the
+    // ready queues; postLoad() rebuilds it.
     std::set<SpuId> nonEmpty_;
 };
 

@@ -156,35 +156,35 @@ SpuManager::pathActive(SpuId id) const
 void
 SpuManager::refreshCaches() const
 {
-    if (cacheVersion_ == version_)
+    if (cache_.version == version_)
         return;
-    userCache_.clear();
-    leafCache_.clear();
+    cache_.users.clear();
+    cache_.leaves.clear();
     // piso-lint: allow(hot-path-full-scan) -- rebuilt once per topology
     // change and served from the cache in between.
     for (const auto &[id, s] : spus_) {
         if (id < kFirstUserSpu || !pathActive(id))
             continue;
         if (s.state == SpuState::Active)
-            userCache_.push_back(id);
+            cache_.users.push_back(id);
         if (s.children.empty())
-            leafCache_.push_back(id);
+            cache_.leaves.push_back(id);
     }
-    cacheVersion_ = version_;
+    cache_.version = version_;
 }
 
 const std::vector<SpuId> &
 SpuManager::userSpus() const
 {
     refreshCaches();
-    return userCache_;
+    return cache_.users;
 }
 
 const std::vector<SpuId> &
 SpuManager::leafSpus() const
 {
     refreshCaches();
-    return leafCache_;
+    return cache_.leaves;
 }
 
 double
@@ -286,43 +286,6 @@ SpuManager::shareTree() const
     ShareTree tree;
     buildSubtree(kNoSpu, ShareTree::kRoot, tree);
     return tree;
-}
-
-void
-SpuManager::save(CkptWriter &w) const
-{
-    const std::vector<SpuId> all = spus_.ids();
-    w.u64(all.size());
-    for (SpuId id : all) {
-        w.u64(static_cast<std::uint64_t>(id));
-        w.u8(spu(id).state == SpuState::Suspended ? 1 : 0);
-    }
-    w.u64(static_cast<std::uint64_t>(next_));
-}
-
-void
-SpuManager::load(CkptReader &r)
-{
-    const std::uint64_t n = r.u64();
-    if (n != spus_.ids().size()) {
-        throw ConfigError("checkpoint SPU count " + std::to_string(n) +
-                          " does not match the replayed configuration");
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const SpuId id = static_cast<SpuId>(r.u64());
-        const std::uint8_t suspended = r.u8();
-        if (!exists(id)) {
-            throw ConfigError(
-                "checkpoint references unknown SPU id " +
-                std::to_string(static_cast<std::uint64_t>(id)));
-        }
-        spus_[id].state = suspended != 0 ? SpuState::Suspended
-                                         : SpuState::Active;
-    }
-    next_ = static_cast<SpuId>(r.u64());
-    // The restored states may differ from anything observed during
-    // setup replay; invalidate caches and captured versions.
-    ++version_;
 }
 
 } // namespace piso

@@ -27,7 +27,6 @@
 
 #include "src/core/share_tree.hh"
 #include "src/core/spu_table.hh"
-#include "src/sim/checkpoint.hh"
 #include "src/sim/ids.hh"
 
 namespace piso {
@@ -40,6 +39,9 @@ enum class SpuState
     Active,
     Suspended,
 };
+
+/** Last SpuState value (checkpoint range check). */
+constexpr SpuState ckptLast(SpuState) { return SpuState::Suspended; }
 
 /** Creation-time description of a user SPU. */
 struct SpuSpec
@@ -135,7 +137,7 @@ class SpuManager
     const std::vector<SpuId> &leafSpus() const;
 
     /** Topology version: bumped by create/destroy/suspend/resume (and
-     *  checkpoint load). Keys the user/leaf caches and lets periodic
+     *  checkpoint restore). Keys the user/leaf caches and lets periodic
      *  policies skip recomputation when the tree is unchanged. */
     std::uint64_t version() const { return version_; }
 
@@ -166,11 +168,19 @@ class SpuManager
      *  The tree structure itself (names, shares, parent/child edges)
      *  is replayed by the deterministic setup phase; only the mutable
      *  run-state — per-SPU life-cycle state and the id allocator — is
-     *  serialised. load() validates the replayed tree covers exactly
-     *  the SPUs present at save time. */
+     *  serialised; the image must name exactly the replayed SPUs. */
     /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar.fixed(spus_, "SPU", &Spu::state);
+        ar(next_);
+    }
+
+    /** The restored states may differ from anything observed during
+     *  setup replay: invalidate caches and captured versions. */
+    void postLoad() { ++version_; }
     /// @}
 
   private:
@@ -200,20 +210,21 @@ class SpuManager
     SpuId next_ = kFirstUserSpu;
 
     // piso-lint: allow(checkpoint-field-coverage) -- monotonic cache
-    // invalidation counter; load bumps it rather than restoring it.
+    // invalidation counter; postLoad() bumps it rather than restoring
+    // it.
     std::uint64_t version_ = 0;
 
     /** Cached userSpus()/leafSpus(), valid while
-     *  cacheVersion_ == version_. */
-    // piso-lint: allow(checkpoint-field-coverage) -- cache validity
-    // tag, rebuilt lazily after the load-time version_ bump.
-    mutable std::uint64_t cacheVersion_ = ~std::uint64_t{0};
+     *  version == SpuManager::version_. */
+    struct Cache
+    {
+        std::uint64_t version = ~std::uint64_t{0};
+        std::vector<SpuId> users;
+        std::vector<SpuId> leaves;
+    };
     // piso-lint: allow(checkpoint-field-coverage) -- derived cache,
-    // rebuilt lazily by refreshCaches().
-    mutable std::vector<SpuId> userCache_;
-    // piso-lint: allow(checkpoint-field-coverage) -- derived cache,
-    // rebuilt lazily by refreshCaches().
-    mutable std::vector<SpuId> leafCache_;
+    // rebuilt lazily by refreshCaches() after the postLoad() bump.
+    mutable Cache cache_;
 };
 
 } // namespace piso

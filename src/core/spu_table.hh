@@ -45,6 +45,9 @@ class DenseTable
                   "DenseTable keys must be integral ids");
 
   public:
+    using key_type = Id;
+    using mapped_type = T;
+
     DenseTable() = default;
 
     /** Build from explicit (id, value) pairs (tests, partition specs). */
@@ -200,39 +203,6 @@ class DenseTable
         Vec *v_;
         std::size_t i_;
     };
-
-    /**
-     * Serialise the table: present-entry count, then (id, value) pairs
-     * in ascending id order. @p saveValue is invoked as
-     * saveValue(writer, const T&). Templated on the writer so this
-     * header stays independent of src/sim/checkpoint.hh.
-     */
-    template <typename W, typename Fn>
-    void
-    saveTable(W &w, Fn &&saveValue) const
-    {
-        w.u64(count_);
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (slots_[i]) {
-                w.u64(i);
-                saveValue(w, *slots_[i]);
-            }
-        }
-    }
-
-    /** Rebuild from saveTable() output; @p loadValue fills each
-     *  default-constructed entry as loadValue(reader, T&). */
-    template <typename R, typename Fn>
-    void
-    loadTable(R &r, Fn &&loadValue)
-    {
-        clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t k = 0; k < n; ++k) {
-            const auto id = static_cast<Id>(r.u64());
-            loadValue(r, (*this)[id]);
-        }
-    }
 
     using iterator = Iter<false>;
     using const_iterator = Iter<true>;

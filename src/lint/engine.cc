@@ -161,7 +161,7 @@ finish(std::vector<Analyzed> &files, int reanalyzed)
 // ---------------------------------------------------------------------
 
 constexpr const char *kCacheMagic = "piso-lint-cache";
-constexpr int kCacheSchema = 1;
+constexpr int kCacheSchema = 2;
 
 std::uint64_t
 registryFingerprint()
@@ -223,8 +223,8 @@ writeCache(const std::string &path,
                 os << "f\t" << f.line << '\t' << f.name << '\n';
         }
         for (const CkptBody &b : s.ckptBodies) {
-            os << "b\t" << b.line << '\t' << (b.isSave ? 1 : 0) << '\t'
-               << b.className << '\t';
+            os << "b\t" << b.line << '\t' << static_cast<int>(b.kind)
+               << '\t' << b.className << '\t';
             for (std::size_t i = 0; i < b.idents.size(); ++i)
                 os << (i ? " " : "") << b.idents[i];
             os << '\n';
@@ -339,7 +339,9 @@ readCache(const std::string &path, std::map<std::string, Analyzed> &out)
                 return false;
             CkptBody body;
             body.line = n;
-            body.isSave = f[2] == "1";
+            if (f[2] != "0" && f[2] != "1" && f[2] != "2")
+                return false;
+            body.kind = static_cast<CkptBody::Kind>(f[2][0] - '0');
             body.className = f[3];
             std::istringstream is(f[4]);
             std::string ident;

@@ -219,7 +219,6 @@ class Parser
                              line});
                     }
                     const bool isSave = fname == "save";
-                    const bool isLoad = fname == "load";
                     bool ckptParam = false;
                     for (std::size_t j = parenOpen;
                          j <= parenClose && j < code_.size(); ++j) {
@@ -228,10 +227,16 @@ class Parser
                             ckptParam = true;
                     }
                     std::vector<std::string> idents = collectBody();
-                    if ((isSave || isLoad) && ckptParam &&
+                    const bool handPaired =
+                        (isSave || fname == "load") && ckptParam;
+                    if ((fname == "serialize" || handPaired) &&
                         !qual.empty()) {
                         out_.ckptBodies.push_back(
-                            {qual, isSave, line, std::move(idents)});
+                            {qual,
+                             !handPaired ? CkptBody::Serialize
+                             : isSave    ? CkptBody::Save
+                                         : CkptBody::Load,
+                             line, std::move(idents)});
                     }
                     return;
                 }

@@ -10,7 +10,8 @@
  * which non-static data members (parsed from headers), where each
  * `Class::method` definition lives, which files a file includes, and —
  * the checkpoint-specific part — the identifier sets referenced inside
- * every `save(CkptWriter&)` / `load(CkptReader&)` body.
+ * every `serialize` body (and the location of any hand-written
+ * `save(CkptWriter&)` / `load(CkptReader&)` body).
  *
  * Deliberately still not a C++ front end (no libclang): the index is
  * produced by a single pass over the existing lexer's token stream,
@@ -52,12 +53,20 @@ struct ClassDecl
     std::vector<FieldDecl> fields;
 };
 
-/** The body of one `Class::save(CkptWriter&)` or
- *  `Class::load(CkptReader&)` definition (inline or out-of-line). */
+/** The body of one `Class::serialize(...)` definition, or of a
+ *  hand-written `Class::save(CkptWriter&)` / `Class::load(CkptReader&)`
+ *  (inline or out-of-line). */
 struct CkptBody
 {
+    enum Kind
+    {
+        Serialize,
+        Save,
+        Load,
+    };
+
     std::string className;
-    bool isSave = false;  //!< save(CkptWriter&) vs load(CkptReader&)
+    Kind kind = Serialize;
     int line = 0;
     std::vector<std::string> idents;  //!< sorted unique body identifiers
 };

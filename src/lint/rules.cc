@@ -872,59 +872,50 @@ void
 checkpointCoverageCheck(const ProjectIndex &index,
                         std::vector<Finding> &out)
 {
-    // Join every save/load body by class name, across all files.
-    struct Bodies
-    {
-        std::vector<std::string> save;  // sorted unique idents
-        std::vector<std::string> load;
-        bool hasSave = false;
-        bool hasLoad = false;
-    };
-    std::map<std::string, Bodies> byClass;
+    // Join every serialize body by class name, across all files. A
+    // hand-written save/load body is itself a finding: its two halves
+    // can drift apart, which one serialize body makes impossible.
+    std::map<std::string, std::vector<std::string>> byClass;
     for (const FileSummary *file : index.files) {
         for (const CkptBody &b : file->ckptBodies) {
-            Bodies &dst = byClass[b.className];
-            auto &set = b.isSave ? dst.save : dst.load;
-            set.insert(set.end(), b.idents.begin(), b.idents.end());
-            (b.isSave ? dst.hasSave : dst.hasLoad) = true;
+            if (b.kind != CkptBody::Serialize) {
+                const char *sig = b.kind == CkptBody::Save
+                                      ? "::save(CkptWriter&)"
+                                      : "::load(CkptReader&)";
+                out.push_back(
+                    {kRuleCheckpointCoverage, file->path, b.line,
+                     b.className + sig +
+                         " is a hand-written checkpoint body; name each "
+                         "field once in template <class Ar> void "
+                         "serialize(Ar &ar) instead"});
+                continue;
+            }
+            std::vector<std::string> &idents = byClass[b.className];
+            idents.insert(idents.end(), b.idents.begin(), b.idents.end());
         }
     }
-    for (auto &[name, bodies] : byClass) {
-        std::sort(bodies.save.begin(), bodies.save.end());
-        std::sort(bodies.load.begin(), bodies.load.end());
-    }
+    for (auto &[name, idents] : byClass)
+        std::sort(idents.begin(), idents.end());
 
-    // Every non-static data member of a participating type must be
-    // referenced on both paths: an unreferenced field is state the
+    // Every non-static data member of a checkpointed type must be
+    // named in its serialize body: an unnamed field is state the
     // image silently drops (restore would resurrect a stale value).
     for (const FileSummary *file : index.files) {
         if (!startsWith(file->path, "src/"))
             continue;
         for (const ClassDecl &cls : file->classes) {
             const auto it = byClass.find(cls.name);
-            if (it == byClass.end() || !it->second.hasSave ||
-                !it->second.hasLoad)
+            if (it == byClass.end())
                 continue;
             for (const FieldDecl &field : cls.fields) {
-                const bool inSave = std::binary_search(
-                    it->second.save.begin(), it->second.save.end(),
-                    field.name);
-                const bool inLoad = std::binary_search(
-                    it->second.load.begin(), it->second.load.end(),
-                    field.name);
-                if (inSave && inLoad)
+                if (std::binary_search(it->second.begin(),
+                                       it->second.end(), field.name))
                     continue;
-                const char *where =
-                    !inSave && !inLoad
-                        ? "both the save and the load path"
-                        : (!inSave ? "the save path (load touches it)"
-                                   : "the load path (save writes it)");
                 out.push_back(
                     {kRuleCheckpointCoverage, file->path, field.line,
                      "field '" + field.name + "' of checkpointed type '" +
-                         cls.name + "' is missing from " + where +
-                         " of " + cls.name +
-                         "::save/load (serialise it, or justify with "
+                         cls.name + "' is missing from " + cls.name +
+                         "::serialize (serialise it, or justify with "
                          "piso-lint: allow(checkpoint-field-coverage) "
                          "-- <why it is replay-derived/transient>)"});
             }
@@ -1051,7 +1042,8 @@ projectRuleRegistry()
 {
     static const std::vector<ProjectRule> kRules = {
         {kRuleCheckpointCoverage,
-         "every field of a save/load type serialized on both paths",
+         "every field of a checkpointed type named in its serialize "
+         "body; no hand-written save/load pairs",
          checkpointCoverageCheck},
         {kRuleLayering,
          "include edges respect the layer order; no include cycles",

@@ -196,81 +196,4 @@ DiskDevice::complete(DiskRequest req, DiskServiceTime st)
         startNext();
 }
 
-void
-SpuDiskStats::save(CkptWriter &w) const
-{
-    requests.save(w);
-    sectors.save(w);
-    errors.save(w);
-    waitMs.save(w);
-    serviceMs.save(w);
-}
-
-void
-SpuDiskStats::load(CkptReader &r)
-{
-    requests.load(r);
-    sectors.load(r);
-    errors.load(r);
-    waitMs.load(r);
-    serviceMs.load(r);
-}
-
-void
-DiskStats::save(CkptWriter &w) const
-{
-    requests.save(w);
-    sectors.save(w);
-    errors.save(w);
-    waitMs.save(w);
-    positionMs.save(w);
-    seekMs.save(w);
-    w.time(busyTime);
-}
-
-void
-DiskStats::load(CkptReader &r)
-{
-    requests.load(r);
-    sectors.load(r);
-    errors.load(r);
-    waitMs.load(r);
-    positionMs.load(r);
-    seekMs.load(r);
-    busyTime = r.time();
-}
-
-void
-DiskDevice::save(CkptWriter &w) const
-{
-    if (busy_ || !queue_.empty()) {
-        throw InvariantError("disk '" + name_ +
-                             "' has in-flight or queued requests at "
-                             "checkpoint time (not I/O-quiescent)");
-    }
-    w.u64(headSector_);
-    w.u64(nextId_);
-    w.f64(slowFactor_);
-    w.f64(errorRate_);
-    w.boolean(dead_);
-    rng_.save(w);
-    stats_.save(w);
-    spuStats_.saveTable(
-        w, [](CkptWriter &wr, const SpuDiskStats &s) { s.save(wr); });
-}
-
-void
-DiskDevice::load(CkptReader &r)
-{
-    headSector_ = r.u64();
-    nextId_ = r.u64();
-    slowFactor_ = r.f64();
-    errorRate_ = r.f64();
-    dead_ = r.boolean();
-    rng_.load(r);
-    stats_.load(r);
-    spuStats_.loadTable(
-        r, [](CkptReader &rd, SpuDiskStats &s) { s.load(rd); });
-}
-
 } // namespace piso

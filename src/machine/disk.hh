@@ -91,8 +91,12 @@ struct SpuDiskStats
     Accumulator waitMs;     //!< queue wait per request, ms
     Accumulator serviceMs;  //!< full service time per request, ms
 
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(requests, sectors, errors, waitMs, serviceMs);
+    }
 };
 
 /** Device-wide statistics. */
@@ -106,8 +110,13 @@ struct DiskStats
     Accumulator seekMs;        //!< seek only, ms
     Time busyTime = 0;         //!< total time servicing requests
 
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(requests, sectors, errors, waitMs, positionMs, seekMs,
+           busyTime);
+    }
 };
 
 /**
@@ -185,12 +194,16 @@ class DiskDevice
 
     const std::string &name() const { return name_; }
 
-    /** Serialise head/fault/RNG/stats state. Only legal while idle
-     *  with an empty queue (in-flight callbacks cannot serialise). */
-    void save(CkptWriter &w) const;
-
-    /** Restore state saved with save(). */
-    void load(CkptReader &r);
+    /** Head/fault/RNG/stats state. Images are taken only while the
+     *  device is idle with an empty queue (in-flight callbacks cannot
+     *  serialise; Kernel::requireIoQuiescent enforces it). */
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(headSector_, nextId_, slowFactor_, errorRate_, dead_, rng_,
+           stats_, spuStats_);
+    }
 
   private:
     void startNext();
@@ -211,14 +224,14 @@ class DiskDevice
     std::unique_ptr<DiskScheduler> scheduler_;
     Rng rng_;
     // piso-lint: allow(checkpoint-field-coverage) -- log label, fixed
-    // at construction (save reads it only for error text).
+    // at construction.
     std::string name_;
 
-    // piso-lint: allow(checkpoint-field-coverage) -- save() throws
-    // unless the queue is empty; nothing to image.
+    // piso-lint: allow(checkpoint-field-coverage) -- empty in any
+    // image (Kernel::requireIoQuiescent); nothing to image.
     std::deque<DiskRequest> queue_;
-    // piso-lint: allow(checkpoint-field-coverage) -- save() throws
-    // unless idle; always false in any image.
+    // piso-lint: allow(checkpoint-field-coverage) -- false in any
+    // image (Kernel::requireIoQuiescent).
     bool busy_ = false;
     double slowFactor_ = 1.0;
     double errorRate_ = 0.0;

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "src/sim/checkpoint.hh"
 
 namespace piso {
 
@@ -72,20 +71,11 @@ class PhysicalMemory
     /** Frames still owed to a shrink (retired as they are freed). */
     std::uint64_t pendingRetire() const { return pendingRetire_; }
 
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        w.u64(totalPages_);
-        w.u64(freePages_);
-        w.u64(pendingRetire_);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        totalPages_ = r.u64();
-        freePages_ = r.u64();
-        pendingRetire_ = r.u64();
+        ar(totalPages_, freePages_, pendingRetire_);
     }
 
   private:

@@ -95,27 +95,4 @@ NetworkInterface::startNext()
         "netTx");
 }
 
-void
-NetworkInterface::save(CkptWriter &w) const
-{
-    if (busy_ || !queue_.empty()) {
-        throw InvariantError("network '" + name_ +
-                             "' has in-flight or queued messages at "
-                             "checkpoint time (not quiescent)");
-    }
-    w.u64(nextId_);
-    total_.save(w);
-    spuStats_.saveTable(
-        w, [](CkptWriter &wr, const SpuNetStats &s) { s.save(wr); });
-}
-
-void
-NetworkInterface::load(CkptReader &r)
-{
-    nextId_ = r.u64();
-    total_.load(r);
-    spuStats_.loadTable(
-        r, [](CkptReader &rd, SpuNetStats &s) { s.load(rd); });
-}
-
 } // namespace piso

@@ -71,20 +71,11 @@ struct SpuNetStats
     Counter bytes;
     Accumulator waitMs;  //!< queue wait per message
 
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        messages.save(w);
-        bytes.save(w);
-        waitMs.save(w);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        messages.load(r);
-        bytes.load(r);
-        waitMs.load(r);
+        ar(messages, bytes, waitMs);
     }
 };
 
@@ -127,9 +118,14 @@ class NetworkInterface
     NetScheduler &scheduler() { return *scheduler_; }
     const NetScheduler &scheduler() const { return *scheduler_; }
 
-    /** Serialise counters; only legal while idle with empty queue. */
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    /** Counters only: images are taken while the link is idle
+     *  (Kernel::requireIoQuiescent). */
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(nextId_, total_, spuStats_);
+    }
 
   private:
     void startNext();
@@ -144,17 +140,17 @@ class NetworkInterface
     // recreated by setup replay; its tracker is imaged separately.
     std::unique_ptr<NetScheduler> scheduler_;
     // piso-lint: allow(checkpoint-field-coverage) -- log label, fixed
-    // at construction (save reads it only for error text).
+    // at construction.
     std::string name_;
     // piso-lint: allow(checkpoint-field-coverage) -- per-message
     // overhead is machine configuration, fixed at construction.
     Time overhead_;
 
-    // piso-lint: allow(checkpoint-field-coverage) -- save() throws
-    // unless the queue is empty; nothing to image.
+    // piso-lint: allow(checkpoint-field-coverage) -- empty in any
+    // image (Kernel::requireIoQuiescent); nothing to image.
     std::deque<NetMessage> queue_;
-    // piso-lint: allow(checkpoint-field-coverage) -- save() throws
-    // unless idle; always false in any image.
+    // piso-lint: allow(checkpoint-field-coverage) -- false in any
+    // image (Kernel::requireIoQuiescent).
     bool busy_ = false;
     std::uint64_t nextId_ = 1;
     Counter total_;

@@ -79,24 +79,4 @@ NumaModel::touchCost(CpuId cpu, SpuId spu, std::uint64_t bytes, Time now)
         static_cast<double>(cfg_.remoteLatency) * factor);
 }
 
-void
-NumaModel::save(CkptWriter &w) const
-{
-    w.f64(traffic_);
-    w.time(trafficLast_);
-    w.u64(localTouches_);
-    w.u64(remoteTouches_);
-    w.u64(busBytes_);
-}
-
-void
-NumaModel::load(CkptReader &r)
-{
-    traffic_ = r.f64();
-    trafficLast_ = r.time();
-    localTouches_ = r.u64();
-    remoteTouches_ = r.u64();
-    busBytes_ = r.u64();
-}
-
 } // namespace piso

@@ -33,7 +33,6 @@
 
 #include <cstdint>
 
-#include "src/sim/checkpoint.hh"
 #include "src/sim/ids.hh"
 #include "src/util/time.hh"
 
@@ -112,8 +111,13 @@ class NumaModel
 
     /** @name Checkpoint */
     /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(traffic_, trafficLast_, localTouches_, remoteTouches_,
+           busBytes_);
+    }
     /// @}
 
   private:

@@ -23,6 +23,13 @@ namespace piso {
 struct ComputeAction
 {
     Time duration;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(duration);
+    }
 };
 
 /** Read @ref bytes from @ref file at @ref offset through the buffer
@@ -32,6 +39,13 @@ struct ReadAction
     FileId file;
     std::uint64_t offset;
     std::uint64_t bytes;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(file, offset, bytes);
+    }
 };
 
 /**
@@ -45,24 +59,52 @@ struct WriteAction
     std::uint64_t offset;
     std::uint64_t bytes;
     bool sync = false;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(file, offset, bytes, sync);
+    }
 };
 
 /** Raise the process working set by @ref pages (touched on demand). */
 struct GrowMemAction
 {
     std::uint64_t pages;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(pages);
+    }
 };
 
 /** Release @ref pages resident pages and shrink the working set. */
 struct ShrinkMemAction
 {
     std::uint64_t pages;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(pages);
+    }
 };
 
 /** Block without consuming CPU for @ref duration. */
 struct SleepAction
 {
     Time duration;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(duration);
+    }
 };
 
 /**
@@ -78,6 +120,13 @@ struct BarrierAction
 {
     int barrier;
     bool spin = false;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(barrier, spin);
+    }
 };
 
 /**
@@ -90,6 +139,13 @@ struct LockAction
     int lock;
     bool exclusive;
     Time hold;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(lock, exclusive, hold);
+    }
 };
 
 /**
@@ -100,11 +156,23 @@ struct LockAction
 struct SendAction
 {
     std::uint64_t bytes;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(bytes);
+    }
 };
 
 /** Terminate the process. */
 struct ExitAction
 {
+    template <class Ar>
+    void
+    serialize(Ar &)
+    {
+    }
 };
 
 /** Any single step of a process's life. */

@@ -41,8 +41,8 @@ class Behavior
      *  behaviour object itself (scripts, parameters) is rebuilt by
      *  the deterministic setup replay. Default: stateless. */
     /// @{
-    virtual void save(CkptWriter &) const {}
-    virtual void load(CkptReader &) {}
+    virtual void serializeState(CkptWriter &) {}
+    virtual void serializeState(CkptReader &) {}
     /// @}
 };
 

@@ -252,8 +252,8 @@ BufferCache::pagesOf(SpuId spu) const
     return count ? *count : 0;
 }
 
-void
-BufferCache::forEachDirty(const std::function<void(CacheBlock &)> &fn)
+std::vector<std::pair<BlockKey, std::uint32_t>>
+BufferCache::sortedDirty() const
 {
     // Collect and sort so callers see ascending key order — flush
     // clustering and first-dirty-victim selection depend on it.
@@ -267,98 +267,26 @@ BufferCache::forEachDirty(const std::function<void(CacheBlock &)> &fn)
               [](const auto &a, const auto &b) {
                   return a.first < b.first;
               });
-    for (const auto &[key, slot] : dirty)
-        fn(slab_[slot]);
+    return dirty;
+}
+
+bool
+BufferCache::hasReadWaiters() const
+{
+    return std::any_of(slab_.begin(), slab_.end(),
+                       [](const CacheBlock &b) { return !b.waiters.empty(); });
+}
+
+bool
+BufferCache::hasFlushingBlock() const
+{
+    return std::any_of(slab_.begin(), slab_.end(),
+                       [](const CacheBlock &b) { return b.flushing; });
 }
 
 void
-BufferCache::save(CkptWriter &w) const
+BufferCache::postLoad() const
 {
-    for (const CacheBlock &blk : slab_) {
-        if (!blk.waiters.empty()) {
-            throw InvariantError(
-                "buffer cache has a block with read waiters at "
-                "checkpoint time (not I/O-quiescent)");
-        }
-        if (blk.flushing) {
-            throw InvariantError(
-                "buffer cache has a flushing block at checkpoint "
-                "time (not I/O-quiescent)");
-        }
-    }
-
-    w.u64(slab_.size());
-    for (const CacheBlock &blk : slab_) {
-        w.i64(blk.key.file);
-        w.u64(blk.key.block);
-        w.boolean(blk.valid);
-        w.boolean(blk.dirty);
-        w.i64(blk.owner);
-        w.u32(blk.slabIndex);
-        w.u32(blk.lruPrev);
-        w.u32(blk.lruNext);
-    }
-    w.u64(freeSlab_.size());
-    for (std::uint32_t slot : freeSlab_)
-        w.u32(slot);
-    w.u64(index_.size());
-    for (const IndexEntry &e : index_) {
-        w.i64(e.key.file);
-        w.u64(e.key.block);
-        w.u32(e.slot);
-    }
-    w.u64(indexMask_);
-    w.u32(lruHead_);
-    w.u32(lruTail_);
-    w.u64(size_);
-    w.u64(dirty_);
-    perSpu_.saveTable(w, [](CkptWriter &wr, const std::size_t &n) {
-        wr.u64(n);
-    });
-}
-
-void
-BufferCache::load(CkptReader &r)
-{
-    const std::uint64_t slabCount = r.u64();
-    slab_.clear();
-    for (std::uint64_t i = 0; i < slabCount; ++i) {
-        CacheBlock blk;
-        blk.key.file = static_cast<FileId>(r.i64());
-        blk.key.block = r.u64();
-        blk.valid = r.boolean();
-        blk.dirty = r.boolean();
-        blk.flushing = false;
-        blk.owner = static_cast<SpuId>(r.i64());
-        blk.slabIndex = r.u32();
-        blk.lruPrev = r.u32();
-        blk.lruNext = r.u32();
-        slab_.push_back(std::move(blk));
-    }
-    const std::uint64_t freeCount = r.u64();
-    freeSlab_.clear();
-    freeSlab_.reserve(freeCount);
-    for (std::uint64_t i = 0; i < freeCount; ++i)
-        freeSlab_.push_back(r.u32());
-    const std::uint64_t indexCount = r.u64();
-    index_.clear();
-    index_.reserve(indexCount);
-    for (std::uint64_t i = 0; i < indexCount; ++i) {
-        IndexEntry e;
-        e.key.file = static_cast<FileId>(r.i64());
-        e.key.block = r.u64();
-        e.slot = r.u32();
-        index_.push_back(e);
-    }
-    indexMask_ = r.u64();
-    lruHead_ = r.u32();
-    lruTail_ = r.u32();
-    size_ = r.u64();
-    dirty_ = r.u64();
-    perSpu_.loadTable(r, [](CkptReader &rd, std::size_t &n) {
-        n = rd.u64();
-    });
-
     for (std::uint32_t slot : freeSlab_) {
         if (slot >= slab_.size())
             throw ConfigError("checkpoint image rejected: buffer-cache "

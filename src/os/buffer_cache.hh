@@ -22,10 +22,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/core/spu_table.hh"
-#include "src/sim/checkpoint.hh"
 #include "src/sim/ids.hh"
 
 namespace piso {
@@ -37,6 +37,13 @@ struct BlockKey
     std::uint64_t block = 0;
 
     friend auto operator<=>(const BlockKey &, const BlockKey &) = default;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(file, block);
+    }
 };
 
 /** State of a cached block. */
@@ -45,10 +52,14 @@ struct CacheBlock
     BlockKey key;
     bool valid = false;     //!< data present (false: read in flight)
     bool dirty = false;
+    // piso-lint: allow(checkpoint-field-coverage) -- false in any
+    // image (Kernel::requireIoQuiescent).
     bool flushing = false;  //!< write in flight; not stealable
     SpuId owner = kNoSpu;   //!< SPU charged for the page
 
     /** Callbacks run when an in-flight read completes. */
+    // piso-lint: allow(checkpoint-field-coverage) -- empty in any
+    // image (Kernel::requireIoQuiescent); closures cannot serialise.
     std::vector<std::function<void()>> waiters;
 
     /** @name BufferCache internals (slab index and LRU links). */
@@ -57,6 +68,13 @@ struct CacheBlock
     std::uint32_t lruPrev = 0;
     std::uint32_t lruNext = 0;
     /// @}
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(key, valid, dirty, owner, slabIndex, lruPrev, lruNext);
+    }
 };
 
 /** Buffer-cache block table with LRU stealing. */
@@ -116,18 +134,40 @@ class BufferCache
     /** Invoke @p fn on every dirty, valid, non-flushing block, in
      *  ascending key order (the order the old std::map walk produced,
      *  which downstream flush clustering depends on). */
-    void forEachDirty(const std::function<void(CacheBlock &)> &fn);
+    template <class Fn>
+    void
+    forEachDirty(Fn &&fn)
+    {
+        for (const auto &[key, slot] : sortedDirty())
+            fn(slab_[slot]);
+    }
+
+    /** @name I/O quiescence probes (Kernel::requireIoQuiescent) */
+    /// @{
+    /** Some block has a read in flight with waiters registered. */
+    bool hasReadWaiters() const;
+    /** Some block has a write in flight. */
+    bool hasFlushingBlock() const;
+    /// @}
 
     /** @name Checkpoint
      *  Raw structural serialisation: slab slots, free list, hash
      *  index and LRU links are written verbatim so that probe order
      *  and LRU iteration order — both observable through steal and
-     *  flush decisions — restore bit-identically. Only legal when no
-     *  block is invalid or flushing and no waiters are registered
-     *  (I/O quiescence); save() throws InvariantError otherwise. */
+     *  flush decisions — restore bit-identically. Images are taken
+     *  only when no block is flushing and no waiters are registered
+     *  (Kernel::requireIoQuiescent). */
     /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(slab_, freeSlab_, index_, indexMask_, lruHead_, lruTail_,
+           size_, dirty_, perSpu_);
+    }
+
+    /** Reject slots and an index mask the restored slab cannot back. */
+    void postLoad() const;
     /// @}
 
   private:
@@ -139,9 +179,20 @@ class BufferCache
     {
         BlockKey key;
         std::uint32_t slot = kNullSlot;
+
+        template <class Ar>
+        void
+        serialize(Ar &ar)
+        {
+            ar(key, slot);
+        }
     };
 
     static std::uint64_t hashKey(const BlockKey &key);
+
+    /** (key, slot) of every dirty, valid, non-flushing block, in
+     *  ascending key order. */
+    std::vector<std::pair<BlockKey, std::uint32_t>> sortedDirty() const;
 
     /** Grow (or create) the index so one more insert keeps the load
      *  factor at or below 3/4. */

@@ -13,7 +13,6 @@ FileSystem::FileSystem(std::uint32_t sectorBytes, std::uint32_t blockBytes,
         PISO_FATAL("block size ", blockBytes_,
                    " must be a multiple of sector size ", sectorBytes_);
     }
-    sectorsPerBlock_ = blockBytes_ / sectorBytes_;
 }
 
 void
@@ -43,7 +42,8 @@ FileSystem::allocate(std::string name, DiskId disk, std::uint64_t bytes,
     std::uint64_t blocks = (bytes + blockBytes_ - 1) / blockBytes_;
     if (blocks == 0)
         blocks = 1;
-    const std::uint64_t sectors = blocks * sectorsPerBlock_;
+    const std::uint32_t perBlock = sectorsPerBlock();
+    const std::uint64_t sectors = blocks * perBlock;
 
     std::uint64_t start;
     if (placement == FilePlacement::Scattered) {
@@ -53,8 +53,7 @@ FileSystem::allocate(std::string name, DiskId disk, std::uint64_t bytes,
         if (sectors > span)
             PISO_FATAL("file '", name, "' larger than disk ", disk);
         start = space.metadataEnd +
-                (rng_.uniformInt(span - sectors) / sectorsPerBlock_) *
-                    sectorsPerBlock_;
+                (rng_.uniformInt(span - sectors) / perBlock) * perBlock;
     } else {
         if (space.nextFree + sectors > space.totalSectors)
             PISO_FATAL("disk ", disk, " out of space for '", name, "'");
@@ -128,7 +127,7 @@ FileSystem::blockSector(FileId id, std::uint64_t blockNo) const
 {
     const FileInfo &f = file(id);
     const std::uint64_t sector =
-        f.startSector + blockNo * sectorsPerBlock_;
+        f.startSector + blockNo * sectorsPerBlock();
     if (sector >= f.startSector + f.sectors)
         PISO_PANIC("block ", blockNo, " beyond file '", f.name, "'");
     return sector;
@@ -141,63 +140,6 @@ FileSystem::freeSectors(DiskId disk) const
     if (it == disks_.end())
         PISO_FATAL("unknown disk ", disk);
     return it->second.totalSectors - it->second.nextFree;
-}
-
-void
-FileSystem::save(CkptWriter &w) const
-{
-    rng_.save(w);
-    w.u64(disks_.size());
-    for (const auto &[id, space] : disks_) {
-        w.i64(id);
-        w.u64(space.totalSectors);
-        w.u64(space.nextFree);
-        w.u64(space.nextMetadata);
-        w.u64(space.metadataEnd);
-        w.u64(space.allocated);
-    }
-    w.u64(files_.size());
-    for (const FileInfo &f : files_) {
-        w.i64(f.id);
-        w.str(f.name);
-        w.i64(f.disk);
-        w.u64(f.startSector);
-        w.u64(f.sectors);
-        w.u64(f.metadataSector);
-        w.u64(f.bytes);
-    }
-}
-
-void
-FileSystem::load(CkptReader &r)
-{
-    rng_.load(r);
-    const std::uint64_t diskCount = r.u64();
-    disks_.clear();
-    for (std::uint64_t i = 0; i < diskCount; ++i) {
-        const DiskId id = static_cast<DiskId>(r.i64());
-        DiskSpace space;
-        space.totalSectors = r.u64();
-        space.nextFree = r.u64();
-        space.nextMetadata = r.u64();
-        space.metadataEnd = r.u64();
-        space.allocated = r.u64();
-        disks_.emplace(id, space);
-    }
-    const std::uint64_t fileCount = r.u64();
-    files_.clear();
-    files_.reserve(fileCount);
-    for (std::uint64_t i = 0; i < fileCount; ++i) {
-        FileInfo f;
-        f.id = static_cast<FileId>(r.i64());
-        f.name = r.str();
-        f.disk = static_cast<DiskId>(r.i64());
-        f.startSector = r.u64();
-        f.sectors = r.u64();
-        f.metadataSector = r.u64();
-        f.bytes = r.u64();
-        files_.push_back(std::move(f));
-    }
 }
 
 } // namespace piso

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/checkpoint.hh"
 #include "src/sim/ids.hh"
 #include "src/sim/random.hh"
 
@@ -44,6 +43,13 @@ struct FileInfo
     std::uint64_t sectors = 0;
     std::uint64_t metadataSector = 0;
     std::uint64_t bytes = 0;
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(id, name, disk, startSector, sectors, metadataSector, bytes);
+    }
 };
 
 /**
@@ -83,7 +89,11 @@ class FileSystem
     const FileInfo &file(FileId id) const;
 
     std::uint32_t blockBytes() const { return blockBytes_; }
-    std::uint32_t sectorsPerBlock() const { return sectorsPerBlock_; }
+    std::uint32_t
+    sectorsPerBlock() const
+    {
+        return blockBytes_ / sectorBytes_;
+    }
 
     /** Number of blocks spanned by [offset, offset+bytes) in @p id. */
     std::uint64_t blockCount(FileId id, std::uint64_t offset,
@@ -98,13 +108,15 @@ class FileSystem
     /** Free sectors remaining on @p disk. */
     std::uint64_t freeSectors(DiskId disk) const;
 
-    /** @name Checkpoint — full file table, allocator pointers and the
+    /** Checkpoint: full file table, allocator pointers and the
      *  scattered-placement RNG (files are created at run time, so the
      *  table cannot be replayed from configuration alone). */
-    /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
-    /// @}
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(rng_, disks_, files_);
+    }
 
   private:
     struct DiskSpace
@@ -114,6 +126,14 @@ class FileSystem
         std::uint64_t nextMetadata = 0;   //!< metadata zone pointer
         std::uint64_t metadataEnd = 0;
         std::uint64_t allocated = 0;
+
+        template <class Ar>
+        void
+        serialize(Ar &ar)
+        {
+            ar(totalSectors, nextFree, nextMetadata, metadataEnd,
+               allocated);
+        }
     };
 
     FileId allocate(std::string name, DiskId disk, std::uint64_t bytes,
@@ -125,9 +145,6 @@ class FileSystem
     // piso-lint: allow(checkpoint-field-coverage) -- geometry
     // configuration, identical after deterministic setup replay.
     std::uint32_t blockBytes_;
-    // piso-lint: allow(checkpoint-field-coverage) -- derived from the
-    // two geometry fields above at construction.
-    std::uint32_t sectorsPerBlock_;
     Rng rng_;
     std::map<DiskId, DiskSpace> disks_;
     std::vector<FileInfo> files_;

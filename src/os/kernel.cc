@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/sim/checkpoint.hh"
 #include "src/util/log.hh"
 #include "src/sim/trace.hh"
 #include "src/util/error.hh"
@@ -1443,83 +1444,38 @@ Kernel::requireIoQuiescent() const
                                  "' waiting on I/O at checkpoint time");
         }
     }
+    // Last: these scan the whole slab, and the cheap checks above
+    // already refuse most non-quiescent boundaries.
+    if (cache_.hasReadWaiters()) {
+        throw InvariantError("buffer cache has a block with read waiters "
+                             "at checkpoint time (not I/O-quiescent)");
+    }
+    if (cache_.hasFlushingBlock()) {
+        throw InvariantError("buffer cache has a flushing block at "
+                             "checkpoint time (not I/O-quiescent)");
+    }
 }
 
+template <class Ar>
 void
-Kernel::save(CkptWriter &w) const
+Kernel::serialize(Ar &ar)
 {
-    rng_.save(w);
-    stats_.save(w);
-    spuFaults_.saveTable(
-        w, [](CkptWriter &wr, const SpuFaultStats &s) { s.save(wr); });
-
-    w.i64(nextPid_);
-    w.u64(live_);
-    w.u64(processes_.size());
-    for (const auto &p : processes_) {
-        w.i64(p->pid());
-        p->save(w);
-    }
-
-    w.u64(barriers_.size());
-    for (const Barrier &b : barriers_) {
-        w.i64(b.width);
-        w.u64(b.waiting.size());
-        for (const Process *q : b.waiting)
-            w.i64(q->pid());
-    }
-    locks_.save(w);
-    boostedNice_.saveTable(
-        w, [](CkptWriter &wr, const double &v) { wr.f64(v); });
-
-    w.boolean(bdflushPending_);
-    w.u64(readCursor_.size());
-    for (const auto &[key, block] : readCursor_) {
-        w.i64(key.first);
-        w.i64(key.second);
-        w.u64(block);
-    }
-    swapExtent_.saveTable(
-        w, [](CkptWriter &wr, const FileId &f) { wr.i64(f); });
+    ar(rng_, stats_, spuFaults_, nextPid_, live_);
+    ar.fixed(processes_, "process");
+    ar.fixed(barriers_, "barrier");
+    ar(locks_, boostedNice_, bdflushPending_, readCursor_, swapExtent_);
 }
 
+template void Kernel::serialize(CkptWriter &);
+template void Kernel::serialize(CkptReader &);
+
 void
-Kernel::load(CkptReader &r)
+Kernel::postLoad()
 {
-    rng_.load(r);
-    stats_.load(r);
-    spuFaults_.loadTable(
-        r, [](CkptReader &rd, SpuFaultStats &s) { s.load(rd); });
-
-    nextPid_ = static_cast<Pid>(r.i64());
-    const std::uint64_t live = r.u64();
-    const std::uint64_t count = r.u64();
-    if (count != processes_.size()) {
-        throw ConfigError("checkpoint process count " +
-                          std::to_string(count) +
-                          " does not match the replayed configuration");
-    }
-    auto byPid = [this](Pid pid) -> Process * {
-        Process *p = process(pid);
-        if (!p) {
-            throw ConfigError("checkpoint references unknown pid " +
-                              std::to_string(pid));
-        }
-        return p;
-    };
-    for (const auto &p : processes_) {
-        const Pid pid = static_cast<Pid>(r.i64());
-        if (pid != p->pid()) {
-            throw ConfigError(
-                "checkpoint process order does not match the "
-                "replayed configuration");
-        }
-        p->load(r);
-    }
-
     // Membership lists derive from per-process state: rebuild them in
     // pid order, which is exactly the order createProcess built and
     // doExit's std::remove preserved in the original run.
+    const std::size_t live = live_;
     live_ = 0;
     for (SpuId s : spuProcs_.ids())
         spuProcs_[s].clear();
@@ -1533,34 +1489,6 @@ Kernel::load(CkptReader &r)
         throw ConfigError("checkpoint live-process count disagrees "
                           "with per-process states");
     }
-
-    const std::uint64_t nbarriers = r.u64();
-    if (nbarriers != barriers_.size()) {
-        throw ConfigError("checkpoint barrier count " +
-                          std::to_string(nbarriers) +
-                          " does not match the replayed configuration");
-    }
-    for (Barrier &b : barriers_) {
-        b.width = static_cast<int>(r.i64());
-        const std::uint64_t waiting = r.u64();
-        b.waiting.clear();
-        for (std::uint64_t i = 0; i < waiting; ++i)
-            b.waiting.push_back(byPid(static_cast<Pid>(r.i64())));
-    }
-    locks_.load(r, byPid);
-    boostedNice_.loadTable(
-        r, [](CkptReader &rd, double &v) { v = rd.f64(); });
-
-    bdflushPending_ = r.boolean();
-    const std::uint64_t cursors = r.u64();
-    readCursor_.clear();
-    for (std::uint64_t i = 0; i < cursors; ++i) {
-        const Pid pid = static_cast<Pid>(r.i64());
-        const FileId file = static_cast<FileId>(r.i64());
-        readCursor_[{pid, file}] = r.u64();
-    }
-    swapExtent_.loadTable(
-        r, [](CkptReader &rd, FileId &f) { f = static_cast<FileId>(rd.i64()); });
 }
 
 Pid

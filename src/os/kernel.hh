@@ -137,48 +137,15 @@ struct KernelStats
     Counter failedIos;        //!< I/Os abandoned after the retry limit
     Counter lostWrites;       //!< dirty pages dropped (writeback failed)
 
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        zeroFills.save(w);
-        refaults.save(w);
-        pageoutWrites.save(w);
-        bdflushRequests.save(w);
-        syncWriteRequests.save(w);
-        bypassWrites.save(w);
-        readRequests.save(w);
-        readAheadRequests.save(w);
-        throttleStalls.save(w);
-        cacheHits.save(w);
-        cacheMisses.save(w);
-        affinityPenalties.save(w);
-        diskErrors.save(w);
-        ioRetries.save(w);
-        ioTimeouts.save(w);
-        failedIos.save(w);
-        lostWrites.save(w);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        zeroFills.load(r);
-        refaults.load(r);
-        pageoutWrites.load(r);
-        bdflushRequests.load(r);
-        syncWriteRequests.load(r);
-        bypassWrites.load(r);
-        readRequests.load(r);
-        readAheadRequests.load(r);
-        throttleStalls.load(r);
-        cacheHits.load(r);
-        cacheMisses.load(r);
-        affinityPenalties.load(r);
-        diskErrors.load(r);
-        ioRetries.load(r);
-        ioTimeouts.load(r);
-        failedIos.load(r);
-        lostWrites.load(r);
+        ar(zeroFills, refaults, pageoutWrites, bdflushRequests,
+           syncWriteRequests, bypassWrites, readRequests,
+           readAheadRequests, throttleStalls, cacheHits, cacheMisses,
+           affinityPenalties, diskErrors, ioRetries, ioTimeouts,
+           failedIos, lostWrites);
     }
 };
 
@@ -190,22 +157,11 @@ struct SpuFaultStats
     Counter ioTimeouts;
     Counter failedOps;   //!< I/Os abandoned after the retry limit
 
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        diskErrors.save(w);
-        ioRetries.save(w);
-        ioTimeouts.save(w);
-        failedOps.save(w);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        diskErrors.load(r);
-        ioRetries.load(r);
-        ioTimeouts.load(r);
-        failedOps.load(r);
+        ar(diskErrors, ioRetries, ioTimeouts, failedOps);
     }
 };
 
@@ -315,7 +271,7 @@ class Kernel : public SchedClient
     bool ioIdle() const;
 
     /** @name Checkpoint
-     *  save()/load() cover every mutable kernel structure except the
+     *  serialize() covers every mutable kernel structure except the
      *  pending events, which the Simulation re-schedules through the
      *  restore*() hooks using the descriptors it recorded (each hook
      *  re-creates one pending event with its original (when, seq)
@@ -324,13 +280,19 @@ class Kernel : public SchedClient
     /**
      * Throw InvariantError unless the I/O system is quiescent enough
      * to checkpoint: no disk or network activity, no flush backlog,
-     * no throttled writers, no process waiting on I/O. Dirty cache
-     * blocks are fine; in-flight ones are not.
+     * no throttled writers, no process waiting on I/O, no cache block
+     * with read waiters or a write in flight. Dirty cache blocks are
+     * fine; in-flight ones are not. Every image write passes this
+     * check first, so no device or cache serialises in-flight state.
      */
     void requireIoQuiescent() const;
 
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    template <class Ar>
+    void serialize(Ar &ar);
+
+    /** Rebuild the per-SPU membership lists from the restored
+     *  per-process states and cross-check the live count. */
+    void postLoad();
 
     /** Pid owning pending event @p id via its startEvent /
      *  segmentEvent / wakeEvent field; kNoPid when no process does. */
@@ -354,6 +316,13 @@ class Kernel : public SchedClient
     {
         int width = 0;
         std::vector<Process *> waiting;
+
+        template <class Ar>
+        void
+        serialize(Ar &ar)
+        {
+            ar(width, waiting);
+        }
     };
 
     /** Result of reclaiming one page from an SPU. */
@@ -511,7 +480,7 @@ class Kernel : public SchedClient
 
     std::vector<std::unique_ptr<Process>> processes_;
     // piso-lint: allow(checkpoint-field-coverage) -- membership lists
-    // are derived; load() rebuilds them from per-process state.
+    // are derived; postLoad() rebuilds them from per-process state.
     SpuTable<std::vector<Process *>> spuProcs_;
     std::size_t live_ = 0;
     Pid nextPid_ = 1;
@@ -536,10 +505,10 @@ class Kernel : public SchedClient
 
     /** Outstanding kernel-write sectors per disk (throttling). */
     // piso-lint: allow(checkpoint-field-coverage) -- checked zero by
-    // requireIoQuiescent() before any save; nothing to image.
+    // requireIoQuiescent() before any image write; nothing to image.
     DenseTable<DiskId, std::uint64_t> flushBacklog_;
     // piso-lint: allow(checkpoint-field-coverage) -- checked empty by
-    // requireIoQuiescent() before any save; nothing to image.
+    // requireIoQuiescent() before any image write; nothing to image.
     DenseTable<DiskId, std::vector<Process *>> throttleWaiters_;
     bool bdflushPending_ = false;
 

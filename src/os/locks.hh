@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "src/sim/ids.hh"
@@ -31,18 +30,11 @@ struct LockStats
     Counter acquisitions;
     Counter contended;  //!< acquisitions that had to wait
 
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        acquisitions.save(w);
-        contended.save(w);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        acquisitions.load(r);
-        contended.load(r);
+        ar(acquisitions, contended);
     }
 };
 
@@ -86,19 +78,26 @@ class LockTable
 
     std::size_t count() const { return locks_.size(); }
 
-    /** @name Checkpoint — holders and waiters are serialised as pids;
-     *  load() resolves them back to processes through @p byPid. */
-    /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r,
-              const std::function<Process *(Pid)> &byPid);
-    /// @}
+    /** Checkpoint: holders and waiters are serialised as pids. */
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar.fixed(locks_, "lock");
+    }
 
   private:
     struct Waiter
     {
         Process *proc;
         bool exclusive;
+
+        template <class Ar>
+        void
+        serialize(Ar &ar)
+        {
+            ar(proc, exclusive);
+        }
     };
 
     struct Lock
@@ -109,6 +108,13 @@ class LockTable
         bool heldExclusive = false;
         std::deque<Waiter> queue;
         LockStats stats;
+
+        template <class Ar>
+        void
+        serialize(Ar &ar)
+        {
+            ar(readersWriter, heldExclusive, holders, queue, stats);
+        }
     };
 
     Lock &lock(int id);

@@ -1,7 +1,6 @@
 #include "src/os/process.hh"
 
-#include <type_traits>
-
+#include "src/sim/checkpoint.hh"
 #include "src/util/log.hh"
 #include "src/util/error.hh"
 
@@ -34,210 +33,37 @@ Process::Process(Pid pid, SpuId spu, JobId job, std::string name,
         PISO_FATAL("process '", name_, "' created without a behavior");
 }
 
-namespace {
-
+template <class Ar>
 void
-saveAction(CkptWriter &w, const Action &a)
+Process::serialize(Ar &ar)
 {
-    w.u8(static_cast<std::uint8_t>(a.index()));
-    std::visit(
-        [&w](const auto &act) {
-            using T = std::decay_t<decltype(act)>;
-            if constexpr (std::is_same_v<T, ComputeAction>) {
-                w.time(act.duration);
-            } else if constexpr (std::is_same_v<T, ReadAction>) {
-                w.i64(act.file);
-                w.u64(act.offset);
-                w.u64(act.bytes);
-            } else if constexpr (std::is_same_v<T, WriteAction>) {
-                w.i64(act.file);
-                w.u64(act.offset);
-                w.u64(act.bytes);
-                w.boolean(act.sync);
-            } else if constexpr (std::is_same_v<T, GrowMemAction>) {
-                w.u64(act.pages);
-            } else if constexpr (std::is_same_v<T, ShrinkMemAction>) {
-                w.u64(act.pages);
-            } else if constexpr (std::is_same_v<T, SleepAction>) {
-                w.time(act.duration);
-            } else if constexpr (std::is_same_v<T, BarrierAction>) {
-                w.i64(act.barrier);
-                w.boolean(act.spin);
-            } else if constexpr (std::is_same_v<T, LockAction>) {
-                w.i64(act.lock);
-                w.boolean(act.exclusive);
-                w.time(act.hold);
-            } else if constexpr (std::is_same_v<T, SendAction>) {
-                w.u64(act.bytes);
-            } else {
-                static_assert(std::is_same_v<T, ExitAction>);
-            }
-        },
-        a);
+    ar.match(pid_, "process order");
+    ar(state_, rng_);
+    behavior_->serializeState(ar);
+
+    foldDecay();  // images carry the decayed value
+    ar(recentCpu_, nice, runningOn, lastRanOn, sliceUsed, readySince);
+
+    ar(computeRemaining, segmentStart, segmentFaults, pendingIo, lockHeld,
+       pendingAction, spinning, ioFailed);
+
+    ar(workingSet, resident, everTouched, dirtyFraction, touchInterval,
+       growInterval);
+
+    ar(startTime, endTime, cpuTime, blockedTime, lastBlockStart,
+       zeroFillFaults, refaults, diskReads, diskWrites);
 }
 
-Action
-loadAction(CkptReader &r)
-{
-    const std::uint8_t kind = r.u8();
-    switch (kind) {
-      case 0: {
-        ComputeAction a;
-        a.duration = r.time();
-        return a;
-      }
-      case 1: {
-        ReadAction a;
-        a.file = static_cast<FileId>(r.i64());
-        a.offset = r.u64();
-        a.bytes = r.u64();
-        return a;
-      }
-      case 2: {
-        WriteAction a;
-        a.file = static_cast<FileId>(r.i64());
-        a.offset = r.u64();
-        a.bytes = r.u64();
-        a.sync = r.boolean();
-        return a;
-      }
-      case 3: {
-        GrowMemAction a;
-        a.pages = r.u64();
-        return a;
-      }
-      case 4: {
-        ShrinkMemAction a;
-        a.pages = r.u64();
-        return a;
-      }
-      case 5: {
-        SleepAction a;
-        a.duration = r.time();
-        return a;
-      }
-      case 6: {
-        BarrierAction a;
-        a.barrier = static_cast<int>(r.i64());
-        a.spin = r.boolean();
-        return a;
-      }
-      case 7: {
-        LockAction a;
-        a.lock = static_cast<int>(r.i64());
-        a.exclusive = r.boolean();
-        a.hold = r.time();
-        return a;
-      }
-      case 8: {
-        SendAction a;
-        a.bytes = r.u64();
-        return a;
-      }
-      case 9:
-        return ExitAction{};
-      default:
-        throw ConfigError("checkpoint image rejected: unknown action "
-                          "kind " + std::to_string(kind));
-    }
-}
-
-} // namespace
+template void Process::serialize(CkptWriter &);
+template void Process::serialize(CkptReader &);
 
 void
-Process::save(CkptWriter &w) const
+Process::postLoad()
 {
-    w.u8(static_cast<std::uint8_t>(state_));
-    rng_.save(w);
-    behavior_->save(w);
-
-    w.f64(recentCpu());  // fold pending decay: images carry the value
-    w.f64(nice);
-    w.i64(runningOn);
-    w.i64(lastRanOn);
-    w.time(sliceUsed);
-    w.time(readySince);
-
-    w.time(computeRemaining);
-    w.time(segmentStart);
-    w.boolean(segmentFaults);
-    w.i64(pendingIo);
-    w.i64(lockHeld);
-    w.boolean(pendingAction.has_value());
-    if (pendingAction)
-        saveAction(w, *pendingAction);
-    w.boolean(spinning);
-    w.boolean(ioFailed);
-
-    w.u64(workingSet);
-    w.u64(resident);
-    w.u64(everTouched);
-    w.f64(dirtyFraction);
-    w.time(touchInterval);
-    w.time(growInterval);
-
-    w.time(startTime);
-    w.time(endTime);
-    w.time(cpuTime);
-    w.time(blockedTime);
-    w.time(lastBlockStart);
-    w.u64(zeroFillFaults);
-    w.u64(refaults);
-    w.u64(diskReads);
-    w.u64(diskWrites);
-}
-
-void
-Process::load(CkptReader &r)
-{
-    const std::uint8_t state = r.u8();
-    if (state > static_cast<std::uint8_t>(ProcState::Exited)) {
-        throw ConfigError("checkpoint image rejected: unknown process "
-                          "state " + std::to_string(state));
-    }
-    state_ = static_cast<ProcState>(state);
-    rng_.load(r);
-    behavior_->load(r);
-
-    setRecentCpu(r.f64());
-    nice = r.f64();
-    runningOn = static_cast<CpuId>(r.i64());
-    lastRanOn = static_cast<CpuId>(r.i64());
-    sliceUsed = r.time();
-    readySince = r.time();
-
-    computeRemaining = r.time();
-    segmentStart = r.time();
-    segmentFaults = r.boolean();
-    pendingIo = static_cast<int>(r.i64());
-    lockHeld = static_cast<int>(r.i64());
-    if (r.boolean())
-        pendingAction = loadAction(r);
-    else
-        pendingAction.reset();
-    spinning = r.boolean();
-    ioFailed = r.boolean();
-
     segmentEvent = kNoEvent;
     startEvent = kNoEvent;
     wakeEvent = kNoEvent;
-
-    workingSet = r.u64();
-    resident = r.u64();
-    everTouched = r.u64();
-    dirtyFraction = r.f64();
-    touchInterval = r.time();
-    growInterval = r.time();
-
-    startTime = r.time();
-    endTime = r.time();
-    cpuTime = r.time();
-    blockedTime = r.time();
-    lastBlockStart = r.time();
-    zeroFillFaults = r.u64();
-    refaults = r.u64();
-    diskReads = r.u64();
-    diskWrites = r.u64();
+    setRecentCpu(recentCpu_);
 }
 
 } // namespace piso

@@ -32,6 +32,9 @@ enum class ProcState : std::uint8_t
     Exited,   //!< done
 };
 
+/** Last ProcState value (checkpoint range check). */
+constexpr ProcState ckptLast(ProcState) { return ProcState::Exited; }
+
 /** Human-readable state name (for logs and tests). */
 const char *procStateName(ProcState s);
 
@@ -184,7 +187,7 @@ class Process
         return recentCpu_;
     }
 
-    /** Overwrite the usage value (tests, checkpoint load). */
+    /** Overwrite the usage value (tests, checkpoint restore). */
     void
     setRecentCpu(double v)
     {
@@ -211,15 +214,17 @@ class Process
     /** @name Checkpoint
      *  Serialises every mutable field except the pending EventIds
      *  (segmentEvent/startEvent/wakeEvent), which are re-established
-     *  when the restore path re-schedules the pending events. */
+     *  when the restore path re-schedules the pending events. The
+     *  pid leads as a cross-check of the replayed process order. */
     /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    template <class Ar>
+    void serialize(Ar &ar);
+
+    /** Forget the replay's event ids and resync the decay epoch. */
+    void postLoad();
     /// @}
 
   private:
-    // piso-lint: allow(checkpoint-field-coverage) -- identity assigned
-    // by setup replay; the image cross-checks pid order instead.
     Pid pid_;
     // piso-lint: allow(checkpoint-field-coverage) -- placement is
     // configuration, identical after deterministic setup replay.
@@ -235,12 +240,10 @@ class Process
     ProcState state_ = ProcState::Embryo;
 
     // Lazily decayed usage: mutable so const readers (priority()
-    // comparisons, save()) can fold pending halvings in.
-    // piso-lint: allow(checkpoint-field-coverage) -- imaged through
-    // recentCpu()/setRecentCpu(), which fold the pending decay in.
+    // comparisons) can fold pending halvings in.
     mutable double recentCpu_ = 0.0;
     // piso-lint: allow(checkpoint-field-coverage) -- lazy-decay epoch
-    // tag; setRecentCpu() resyncs it to the scheduler's epoch.
+    // tag; postLoad() resyncs it to the scheduler's epoch.
     mutable std::uint32_t decayEpoch_ = 0;
     // piso-lint: allow(checkpoint-field-coverage) -- wiring pointer to
     // the scheduler's epoch counter, re-bound by setup replay.

@@ -29,20 +29,14 @@ class SmpScheduler : public CpuScheduler
     void enqueueReady(Process *p) override;
     bool eligibleIdle(const Cpu &cpu, const Process *p) const override;
 
-    void saveReady(CkptWriter &w) const override
-    {
-        w.u64(ready_.size());
-        for (const Process *p : ready_)
-            w.i64(p->pid());
-    }
+    void serializeReady(CkptWriter &w) override { serialize(w); }
+    void serializeReady(CkptReader &r) override { serialize(r); }
 
-    void loadReady(CkptReader &r,
-                   const std::function<Process *(Pid)> &byPid) override
+    template <class Ar>
+    void
+    serialize(Ar &ar)
     {
-        ready_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            ready_.push_back(byPid(static_cast<Pid>(r.i64())));
+        ar(ready_);
     }
 
   private:

@@ -21,7 +21,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -58,6 +57,8 @@ class SchedClient
 /** Per-CPU scheduling state. */
 struct Cpu
 {
+    // piso-lint: allow(checkpoint-field-coverage) -- machine slot
+    // index, assigned at construction; the image keeps CPU order.
     CpuId id = 0;
 
     /** SPU owning this CPU under space partitioning (kNoSpu = none,
@@ -94,6 +95,19 @@ struct Cpu
     Time idleSince = 0;
     Time busyTime = 0;
     Time idleTime = 0;
+
+    /** Everything but the id. `running` is restored directly: the
+     *  process is already mid-segment in the image, so startRunning
+     *  must not run. */
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(homeSpu, timeShares);
+        ar.nullable(running);
+        ar(online, loaned, revokePending, lastSpu, noLoanBefore,
+           lastDispatch, idleSince, busyTime, idleTime);
+    }
 };
 
 /**
@@ -223,9 +237,18 @@ class CpuScheduler
      *  tick is re-established separately through restoreTick() with
      *  its original (when, seq) ordering key. */
     /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r,
-              const std::function<Process *(Pid)> &byPid);
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(lastDecay_, spuCpuTime_);
+        ar.fixed(cpus_, "CPU");
+        // Registration order of live processes (pid order is preserved
+        // by the std::remove-based erase in processExited).
+        ar(all_);
+        serializeReady(ar);
+    }
+
     void restoreTick(Time when, std::uint64_t seq);
     /// @}
 
@@ -247,10 +270,8 @@ class CpuScheduler
      *  Must round-trip the ready structures exactly (FIFO order
      *  included) so restored dispatch decisions are bit-identical. */
     /// @{
-    virtual void saveReady(CkptWriter &w) const = 0;
-    virtual void
-    loadReady(CkptReader &r,
-              const std::function<Process *(Pid)> &byPid) = 0;
+    virtual void serializeReady(CkptWriter &w) = 0;
+    virtual void serializeReady(CkptReader &r) = 0;
     /// @}
 
     /** Hook: per-tick policy work (revocation, owner rotation). Runs
@@ -301,21 +322,19 @@ class CpuScheduler
     // piso-lint: allow(checkpoint-field-coverage) -- scheduler tuning
     // configuration, identical after deterministic setup replay.
     Time timeSlice_;
-    // piso-lint: allow(checkpoint-field-coverage) -- scheduler tuning
-    // configuration, identical after deterministic setup replay.
-    Time decayPeriod_ = kSec;
+    /** Recent-usage decay period (IRIX halves usage every second). */
+    static constexpr Time kDecayPeriod = kSec;
     Time lastDecay_ = 0;
 
     /** Decay generation: bumped once per decay period instead of
      *  sweeping every process; processes fold missed halvings in on
      *  read (Process::foldDecay). */
     // piso-lint: allow(checkpoint-field-coverage) -- relative epoch
-    // tag; save folds decay into each process, load resyncs them.
+    // tag; images carry each process's folded usage and
+    // Process::postLoad resyncs it.
     std::uint32_t decayEpoch_ = 0;
     /** Rotation period for time-partitioned CPUs. */
-    // piso-lint: allow(checkpoint-field-coverage) -- scheduler tuning
-    // configuration, identical after deterministic setup replay.
-    Time sharePeriod_ = 100 * kMs;
+    static constexpr Time kSharePeriod = 100 * kMs;
 
     SpuTable<Time> spuCpuTime_;
 };

@@ -127,29 +127,16 @@ class VirtualMemory
 
     /** @name Checkpoint */
     /// @{
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        ledger_.save(w);
-        pressure_.saveTable(w,
-                            [](CkptWriter &wr, const std::uint64_t &n) {
-                                wr.u64(n);
-                            });
-        w.u64(reservePages_);
+        ar(ledger_, pressure_, reservePages_);
     }
 
-    void
-    load(CkptReader &r)
-    {
-        ledger_.load(r);
-        pressure_.loadTable(r, [](CkptReader &rd, std::uint64_t &n) {
-            n = rd.u64();
-        });
-        reservePages_ = r.u64();
-        // Restored state replaced everything a policy pass observes;
-        // invalidate any version captured during setup replay.
-        ++version_;
-    }
+    /** Restored state replaced everything a policy pass observes;
+     *  invalidate any version captured during setup replay. */
+    void postLoad() { ++version_; }
     /// @}
 
   private:
@@ -163,7 +150,7 @@ class VirtualMemory
     SpuTable<std::uint64_t> pressure_;
     std::uint64_t reservePages_ = 0;
     // piso-lint: allow(checkpoint-field-coverage) -- monotonic change
-    // counter; load bumps it rather than restoring it.
+    // counter; postLoad() bumps it rather than restoring it.
     std::uint64_t version_ = 0;
 };
 

@@ -23,8 +23,10 @@ constexpr std::size_t kTrailerBytes = 8;
 void
 appendLe(std::string &out, std::uint64_t v, int bytes)
 {
+    char buf[8];
     for (int i = 0; i < bytes; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    out.append(buf, static_cast<std::size_t>(bytes));
 }
 
 std::uint64_t
@@ -206,6 +208,46 @@ CkptReader::str()
     std::string v = payload_.substr(pos_, n);
     pos_ += n;
     return v;
+}
+
+void
+CkptReader::reject(const std::string &what)
+{
+    badImage(what);
+}
+
+std::uint64_t
+CkptReader::count()
+{
+    const std::uint64_t n = u64();
+    if (n > remaining())
+        badImage("element count " + std::to_string(n) +
+                 " exceeds the payload");
+    return n;
+}
+
+std::uint64_t
+CkptReader::tableId(std::uint64_t next)
+{
+    const std::uint64_t id = u64();
+    if (id < next) {
+        badImage("table id " + std::to_string(static_cast<std::int64_t>(id)) +
+                 " is not ascending");
+    }
+    if (id >= payload_.size()) {
+        badImage("table id " + std::to_string(static_cast<std::int64_t>(id)) +
+                 " is out of range");
+    }
+    return id;
+}
+
+Process *
+CkptReader::process(Pid pid)
+{
+    Process *p = byPid_ ? byPid_(pid) : nullptr;
+    if (p == nullptr)
+        badImage("references unknown pid " + std::to_string(pid));
+    return p;
 }
 
 void

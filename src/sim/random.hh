@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "src/sim/checkpoint.hh"
 #include "src/util/time.hh"
 
 namespace piso {
@@ -59,20 +58,12 @@ class Rng
      */
     Rng fork();
 
-    /** Serialise the full 256-bit stream position. */
+    /** The full 256-bit stream position. */
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        for (std::uint64_t s : s_)
-            w.u64(s);
-    }
-
-    /** Restore a stream position saved with save(). */
-    void
-    load(CkptReader &r)
-    {
-        for (std::uint64_t &s : s_)
-            s = r.u64();
+        ar(s_);
     }
 
   private:

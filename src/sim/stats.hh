@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/checkpoint.hh"
 
 namespace piso {
 
@@ -33,8 +32,12 @@ class Counter
     /** Reset to zero. */
     void reset() { value_ = 0; }
 
-    void save(CkptWriter &w) const { w.u64(value_); }
-    void load(CkptReader &r) { value_ = r.u64(); }
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(value_);
+    }
 
   private:
     std::uint64_t value_ = 0;
@@ -71,26 +74,11 @@ class Accumulator
     /** Discard all samples. */
     void reset();
 
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        w.u64(count_);
-        w.f64(mean_);
-        w.f64(m2_);
-        w.f64(sum_);
-        w.f64(min_);
-        w.f64(max_);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        count_ = r.u64();
-        mean_ = r.f64();
-        m2_ = r.f64();
-        sum_ = r.f64();
-        min_ = r.f64();
-        max_ = r.f64();
+        ar(count_, mean_, m2_, sum_, min_, max_);
     }
 
   private:

@@ -77,8 +77,8 @@ enum class EvKind : std::uint8_t
     FaultRestoreError,  //!< disk-error window end (arg = disk)
 };
 
-inline constexpr std::uint8_t kMaxEvKind =
-    static_cast<std::uint8_t>(EvKind::FaultRestoreError);
+/** Last EvKind value (checkpoint range check). */
+constexpr EvKind ckptLast(EvKind) { return EvKind::FaultRestoreError; }
 
 /** One pending event as stored in the image. */
 struct EvDesc
@@ -87,6 +87,13 @@ struct EvDesc
     Time when = 0;
     std::uint64_t seq = 0;
     std::int64_t arg = -1;  //!< pid or disk index, kind-dependent
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(kind, when, seq, arg);
+    }
 };
 
 } // namespace
@@ -174,6 +181,10 @@ struct Simulation::Impl
 
     void writeImage(std::ostream &out);
     void loadImage(CkptReader &r);
+    /** Every subsystem's state, in image order; one body for both
+     *  archives. */
+    template <class Ar>
+    void imageSections(Ar &ar);
     void restoreFaultRestore(FaultKind kind, DiskId disk, Time when,
                              std::uint64_t seq);
     /// @}
@@ -1059,47 +1070,8 @@ Simulation::Impl::writeImage(std::ostream &out)
                              events.now());
 
     CkptWriter w;
-    w.time(events.now());
-    w.u64(events.nextSeq());
-    w.u64(events.executedEvents());
-    w.u64(descs->size());
-    for (const EvDesc &d : *descs) {
-        w.u8(static_cast<std::uint8_t>(d.kind));
-        w.time(d.when);
-        w.u64(d.seq);
-        w.i64(d.arg);
-    }
-
-    rng.save(w);
-    phys.save(w);
-    vm.save(w);
-    cache.save(w);
-    fs.save(w);
-    spuMgr.save(w);
-
-    w.u64(disks.size());
-    for (const auto &d : disks)
-        d->save(w);
-    for (const FairDiskScheduler *fds : fairSchedulers)
-        fds->tracker().save(w);
-    w.boolean(network != nullptr);
-    if (network) {
-        network->save(w);
-        w.boolean(fairNet != nullptr);
-        if (fairNet)
-            fairNet->tracker().save(w);
-    }
-    w.boolean(numa != nullptr);
-    if (numa)
-        numa->save(w);
-
-    sched->save(w);
-    kernel->save(w);
-
-    w.u64(jobs.size());
-    for (const Job &j : jobs)
-        j.save(w);
-
+    w(events.now(), events.nextSeq(), events.executedEvents(), *descs);
+    imageSections(w);
     w.emit(out, configDigest());
 }
 
@@ -1124,86 +1096,38 @@ Simulation::Impl::restoreFaultRestore(FaultKind kind, DiskId disk,
     faultRestores[id] = {kind, disk};
 }
 
+template <class Ar>
+void
+Simulation::Impl::imageSections(Ar &ar)
+{
+    ar(rng, phys, vm, cache, fs, spuMgr);
+    ar.fixed(disks, "disk");
+    for (FairDiskScheduler *fds : fairSchedulers)
+        ar(fds->tracker());
+    ar.match(network != nullptr, "network presence");
+    if (network) {
+        ar(*network);
+        ar.match(fairNet != nullptr, "network scheduler");
+        if (fairNet)
+            ar(fairNet->tracker());
+    }
+    ar.match(numa != nullptr, "NUMA model presence");
+    if (numa)
+        ar(*numa);
+    ar(*sched, *kernel);
+    ar.fixed(jobs, "job");
+}
+
 void
 Simulation::Impl::loadImage(CkptReader &r)
 {
-    const Time now = r.time();
-    const std::uint64_t nextSeq = r.u64();
-    const std::uint64_t executed = r.u64();
-
-    const std::uint64_t ndescs = r.u64();
-    if (ndescs > r.remaining()) {
-        throw ConfigError("checkpoint image rejected: event count "
-                          "exceeds the payload");
-    }
+    Time now = 0;
+    std::uint64_t nextSeq = 0;
+    std::uint64_t executed = 0;
     std::vector<EvDesc> descs;
-    descs.reserve(ndescs);
-    for (std::uint64_t i = 0; i < ndescs; ++i) {
-        const std::uint8_t kind = r.u8();
-        if (kind > kMaxEvKind) {
-            throw ConfigError(
-                "checkpoint image rejected: unknown event kind " +
-                std::to_string(kind));
-        }
-        EvDesc d;
-        d.kind = static_cast<EvKind>(kind);
-        d.when = r.time();
-        d.seq = r.u64();
-        d.arg = r.i64();
-        descs.push_back(d);
-    }
-
-    rng.load(r);
-    phys.load(r);
-    vm.load(r);
-    cache.load(r);
-    fs.load(r);
-    spuMgr.load(r);
-
-    if (r.u64() != disks.size()) {
-        throw ConfigError(
-            "checkpoint image rejected: disk count mismatch");
-    }
-    for (auto &d : disks)
-        d->load(r);
-    for (FairDiskScheduler *fds : fairSchedulers)
-        fds->tracker().load(r);
-    if (r.boolean() != (network != nullptr)) {
-        throw ConfigError(
-            "checkpoint image rejected: network presence mismatch");
-    }
-    if (network) {
-        network->load(r);
-        if (r.boolean() != (fairNet != nullptr)) {
-            throw ConfigError("checkpoint image rejected: network "
-                              "scheduler mismatch");
-        }
-        if (fairNet)
-            fairNet->tracker().load(r);
-    }
-    if (r.boolean() != (numa != nullptr)) {
-        throw ConfigError(
-            "checkpoint image rejected: NUMA model presence mismatch");
-    }
-    if (numa)
-        numa->load(r);
-
-    const auto byPid = [this](Pid pid) -> Process * {
-        Process *p = kernel->process(pid);
-        if (!p) {
-            throw ConfigError("checkpoint references unknown pid " +
-                              std::to_string(pid));
-        }
-        return p;
-    };
-    sched->load(r, byPid);
-    kernel->load(r);
-
-    if (r.u64() != jobs.size())
-        throw ConfigError("checkpoint image rejected: job count mismatch");
-    for (Job &j : jobs)
-        j.load(r);
-
+    r(now, nextSeq, executed, descs);
+    r.resolveProcesses([this](Pid pid) { return kernel->process(pid); });
+    imageSections(r);
     r.expectEnd();
 
     // Re-bind every pending event at its original heap coordinates,

@@ -99,22 +99,11 @@ class Job
 
     /** @name Checkpoint */
     /// @{
+    template <class Ar>
     void
-    save(CkptWriter &w) const
+    serialize(Ar &ar)
     {
-        w.i64(remaining_);
-        w.boolean(started_);
-        w.boolean(failed_);
-        w.time(endTime_);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        remaining_ = static_cast<int>(r.i64());
-        started_ = r.boolean();
-        failed_ = r.boolean();
-        endTime_ = r.time();
+        ar(remaining_, started_, failed_, endTime_);
     }
     /// @}
 

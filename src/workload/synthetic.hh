@@ -37,12 +37,25 @@ class ScriptBehavior : public Behavior
 
     std::size_t remaining() const { return script_.size() - index_; }
 
-    void save(CkptWriter &w) const override { w.u64(index_); }
+    void serializeState(CkptWriter &w) override { serialize(w); }
 
     void
-    load(CkptReader &r) override
+    serializeState(CkptReader &r) override
     {
-        index_ = r.u64();
+        serialize(r);
+        postLoad();
+    }
+
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(index_);
+    }
+
+    void
+    postLoad()
+    {
         if (index_ > script_.size())
             throw ConfigError("checkpoint image rejected: script "
                               "cursor beyond script end");
@@ -75,18 +88,14 @@ class ComputeBehavior : public Behavior
 
     Action next(Process &self, const BehaviorContext &ctx) override;
 
-    void
-    save(CkptWriter &w) const override
-    {
-        w.time(done_);
-        w.boolean(grown_);
-    }
+    void serializeState(CkptWriter &w) override { serialize(w); }
+    void serializeState(CkptReader &r) override { serialize(r); }
 
+    template <class Ar>
     void
-    load(CkptReader &r) override
+    serialize(Ar &ar)
     {
-        done_ = r.time();
-        grown_ = r.boolean();
+        ar(done_, grown_);
     }
 
   private:

@@ -1,22 +1,16 @@
-// Fixture: the save path has been edited to drop dropped_ (the
-// "deleted save field" scenario docs/static-analysis.md describes);
-// cache_ is deliberately on neither path, covered by the justified
-// allow at its declaration.
+// Fixture: the serialize body has been edited to drop dropped_ (the
+// "deleted field" scenario docs/static-analysis.md describes); cache_
+// is deliberately not named, covered by the justified allow at its
+// declaration.
 #include "src/core/ckpt_cover.hh"
 
 namespace piso {
 
+template <class Ar>
 void
-CoverDemo::save(CkptWriter &w) const
+CoverDemo::serialize(Ar &ar)
 {
-    w.i64(value_);
-}
-
-void
-CoverDemo::load(CkptReader &r)
-{
-    value_ = r.i64();
-    dropped_ = r.i64();
+    ar(value_);
 }
 
 } // namespace piso

@@ -1,8 +1,8 @@
 #ifndef PISO_CORE_CKPT_COVER_HH
 #define PISO_CORE_CKPT_COVER_HH
 
-// Fixture: checkpoint-field-coverage. CoverDemo's save/load bodies
-// live in ckpt_cover.cc; the project rule joins them by class name
+// Fixture: checkpoint-field-coverage. CoverDemo's serialize body
+// lives in ckpt_cover.cc; the project rule joins it by class name
 // across files and checks every non-static data member.
 
 namespace piso {
@@ -13,13 +13,13 @@ class CkptReader;
 class CoverDemo
 {
   public:
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    template <class Ar>
+    void serialize(Ar &ar);
 
   private:
-    int value_ = 0;    // clean: serialised on both paths
-    int dropped_ = 0;  // hit: load reads it, save no longer writes it
-    int ghost_ = 0;    // hit: on neither path
+    int value_ = 0;    // clean: named in serialize
+    int dropped_ = 0;  // hit: serialize no longer names it
+    int ghost_ = 0;    // hit: never named
     // piso-lint: allow(checkpoint-field-coverage) -- fixture: derived
     // cache, rebuilt on first use after restore.
     int cache_ = 0;

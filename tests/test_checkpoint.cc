@@ -504,3 +504,40 @@ TEST(Checkpoint, BigMachineNumaStateSurvivesTheRoundTrip)
     EXPECT_EQ(warm.numa.remoteTouches, cold.numa.remoteTouches);
     EXPECT_EQ(warm.numa.busBytes, cold.numa.busBytes);
 }
+
+// ---------------------------------------------------------------------
+// Layout pin: the bytes an image carries, and their order
+// ---------------------------------------------------------------------
+
+// Payload length and FNV-1a of two reference images (the Figure 2
+// pmake shape and the disk-bound copy shape, both under PIso). Any
+// change to which fields an image carries, their widths or their order
+// moves these numbers; such a change must bump kCkptVersion and re-pin.
+TEST(Checkpoint, ImageLayoutIsPinned)
+{
+    struct Pin
+    {
+        const char *name;
+        const char *text;
+        Time at;
+        std::size_t payloadBytes;
+        std::uint64_t payloadFnv;
+    };
+    const Pin pins[] = {
+        {"pmake", kPmakeShape, 500 * kMs, 24350u, 0x5ebc0c28dd7856cfull},
+        {"copy", kCopyShape, 50 * kMs, 6345u, 0x4bef8b2191b20154ull}};
+    ASSERT_EQ(kCkptVersion, 1u) << "re-pin the layout for the new version";
+    // Header: magic 8 + version 4 + flags 4 + digest 8 + length 8;
+    // trailer: checksum 8.
+    constexpr std::size_t kHeader = 32;
+    constexpr std::size_t kTrailer = 8;
+    for (const Pin &pin : pins) {
+        const Observed o =
+            observe(shapeSpec(pin.text, Scheme::PIso), pin.at);
+        ASSERT_GT(o.image.size(), kHeader + kTrailer) << pin.name;
+        const std::string payload = o.image.substr(
+            kHeader, o.image.size() - kHeader - kTrailer);
+        EXPECT_EQ(payload.size(), pin.payloadBytes) << pin.name;
+        EXPECT_EQ(ckptFnv1a(payload), pin.payloadFnv) << pin.name;
+    }
+}

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/config/workload_spec.hh"
+#include "src/core/spu_table.hh"
 #include "src/piso.hh"
 #include "src/sim/checkpoint.hh"
 #include "src/sim/event_queue.hh"
@@ -187,6 +188,35 @@ TEST(CheckpointFuzz, ReaderBoundsChecksEveryPrimitive)
     CkptReader r3(img);
     r3.requireDigest(1);
     EXPECT_THROW(r3.str(), ConfigError);
+}
+
+TEST(CheckpointFuzz, CraftedTableIdsAreConfigErrors)
+{
+    // A well-formed container (valid checksum) whose table section
+    // carries hostile ids: negative, non-ascending, or far beyond
+    // anything the image could describe. Each must be a ConfigError —
+    // never an invariant panic or an attempt to size a huge table.
+    const auto load = [](std::initializer_list<std::uint64_t> ids) {
+        CkptWriter w;
+        w.u64(ids.size());
+        for (std::uint64_t id : ids) {
+            w.u64(id);
+            w.u64(7);  // the entry's value
+        }
+        CkptReader r(w.image(/*digest=*/1));
+        SpuTable<std::uint64_t> table;
+        r(table);
+        r.expectEnd();
+        return table;
+    };
+    const SpuTable<std::uint64_t> ok = load({0, 3});
+    EXPECT_EQ(ok.ids(), (std::vector<SpuId>{0, 3}));
+    EXPECT_EQ(ok.at(3), 7u);
+
+    EXPECT_THROW(load({~std::uint64_t{0}}), ConfigError);  // id -1
+    EXPECT_THROW(load({0x7fffffffu}), ConfigError);
+    EXPECT_THROW(load({3, 3}), ConfigError);
+    EXPECT_THROW(load({4, 2}), ConfigError);
 }
 
 // ---------------------------------------------------------------------

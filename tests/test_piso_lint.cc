@@ -164,8 +164,8 @@ TEST(LintRules, ScheduledLambdasCapturingPerThreadContexts)
 
 TEST(LintProject, DeletedSaveFieldFailsWithExactlyCheckpointCoverage)
 {
-    // The class declares four fields; the .cc save body was edited to
-    // drop dropped_, ghost_ is on neither path, cache_ is covered by a
+    // The class declares four fields; the .cc serialize body was edited
+    // to drop dropped_, ghost_ was never named, cache_ is covered by a
     // justified allow. Every surviving finding must be the
     // checkpoint-field-coverage rule and nothing else.
     const LintResult r = lintFixtures(
@@ -177,10 +177,30 @@ TEST(LintProject, DeletedSaveFieldFailsWithExactlyCheckpointCoverage)
     for (const Finding &f : r.findings)
         EXPECT_EQ(f.path, "src/core/ckpt_cover.hh");
     EXPECT_NE(r.findings[0].message.find(
-                  "missing from the save path (load touches it)"),
+                  "'dropped_' of checkpointed type 'CoverDemo' is "
+                  "missing from CoverDemo::serialize"),
               std::string::npos);
     EXPECT_NE(r.findings[1].message.find(
-                  "missing from both the save and the load path"),
+                  "'ghost_' of checkpointed type 'CoverDemo' is "
+                  "missing from CoverDemo::serialize"),
+              std::string::npos);
+}
+
+TEST(LintProject, HandWrittenSaveLoadPairIsReported)
+{
+    // Both bodies name the only field, so coverage alone would pass;
+    // the pair itself is the finding, once per body.
+    const LintResult r = lintFixture("src/core/ckpt_pair.hh");
+    EXPECT_EQ(hits(r), (Hits{{kRuleCheckpointCoverage, 13},
+                             {kRuleCheckpointCoverage, 19}}));
+    ASSERT_EQ(r.findings.size(), 2u);
+    EXPECT_NE(r.findings[0].message.find(
+                  "PairDemo::save(CkptWriter&) is a hand-written "
+                  "checkpoint body"),
+              std::string::npos);
+    EXPECT_NE(r.findings[1].message.find(
+                  "PairDemo::load(CkptReader&) is a hand-written "
+                  "checkpoint body"),
               std::string::npos);
 }
 
@@ -362,12 +382,12 @@ TEST(LintEngine, FixtureTreeTotals)
     std::string error;
     ASSERT_TRUE(lintFiles({std::string(PISO_LINT_FIXTURE_DIR)}, r, error))
         << error;
-    EXPECT_EQ(r.filesScanned, 23);
+    EXPECT_EQ(r.filesScanned, 24);
     // 4 wallclock + 1 unordered + 2 globals + 3 tables + 1 guard +
     // 2 io + 2 taxonomy + 2 full-scan + 1 nojust + 2 unknown +
     // 2 stale + 3 time-unit + 3 context-capture + 2 checkpoint +
-    // 2 layering = 32, each exactly once.
-    EXPECT_EQ(r.findings.size(), 32u);
+    // 2 hand-written save/load + 2 layering = 34, each exactly once.
+    EXPECT_EQ(r.findings.size(), 34u);
     EXPECT_EQ(r.exitCode(), 1);
     // With no cache every file is re-analyzed.
     EXPECT_EQ(r.filesReanalyzed, r.filesScanned);
