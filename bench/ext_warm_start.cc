@@ -13,7 +13,13 @@
  *
  * BM_SweepCold / BM_SweepWarm share one plan; compare their times for
  * the speedup. BM_TemplateCheckpoint isolates the fixed cost warm
- * start adds (grouping + the template run + one image).
+ * start adds per group (the template run and its images).
+ *
+ * BM_SweepColdNoBoundary / BM_SweepWarmNoBoundary are the worst case:
+ * an I/O-bound base whose disk never idles, so no group finds a
+ * quiescent boundary and every member runs cold after its group's
+ * template run. Their difference is what warm start costs when
+ * nothing can be shared.
  */
 
 #include <benchmark/benchmark.h>
@@ -57,10 +63,36 @@ faultAxisPlan()
     return plan;
 }
 
-void
-runSweep(benchmark::State &state, bool warmStart)
+/**
+ * The worst case: a pmake and a 20 MB copy share one disk that stays
+ * busy from the first request to the end (examples/specs/
+ * disk_contention.piso), under eight scenarios on its one disk
+ * diverging at t=4s. The template runs the prefix to 4s and finds
+ * nothing.
+ */
+const char *kNoBoundarySpec = R"(
+machine cpus=2 memory_mb=44 disks=1 scheme=piso disk_policy=piso seek_scale=0.5 seed=3
+spu builder share=1 disk=0
+spu copier  share=1 disk=0
+job builder pmake name=build workers=2 files=30 compile_ms=25 ws_pages=200
+job copier  copy  name=bigcopy bytes_kb=20480
+)";
+
+exp::ExperimentPlan
+noBoundaryPlan()
 {
-    const exp::ExperimentPlan plan = faultAxisPlan();
+    exp::ExperimentPlan plan;
+    plan.base = parseWorkloadSpec(kNoBoundarySpec);
+    plan.axes.push_back(exp::parseGridAxis(
+        "fault_disk_slow=none,4:0.5:0:2,4:0.5:0:4,4:0.5:0:8,"
+        "4:1:0:2,4:1:0:4,4:1:0:8,4.2:0.5:0:4"));
+    return plan;
+}
+
+void
+runSweep(benchmark::State &state, bool warmStart,
+         const exp::ExperimentPlan &plan = faultAxisPlan())
+{
     exp::SweepOptions opts;
     opts.jobs = 1; // serial: measure work, not parallel fan-out
     opts.warmStart = warmStart;
@@ -69,6 +101,10 @@ runSweep(benchmark::State &state, bool warmStart)
         if (outcome.failures() != 0)
             state.SkipWithError("sweep task failed");
         benchmark::DoNotOptimize(outcome.runs.size());
+        state.counters["forked"] =
+            static_cast<double>(outcome.forkedTasks);
+        state.counters["template_sim_s"] =
+            toSeconds(outcome.templateSimTime);
     }
 }
 
@@ -87,12 +123,29 @@ BM_SweepWarm(benchmark::State &state)
 BENCHMARK(BM_SweepWarm)->Unit(benchmark::kMillisecond);
 
 void
+BM_SweepColdNoBoundary(benchmark::State &state)
+{
+    runSweep(state, false, noBoundaryPlan());
+}
+BENCHMARK(BM_SweepColdNoBoundary)->Unit(benchmark::kMillisecond);
+
+void
+BM_SweepWarmNoBoundary(benchmark::State &state)
+{
+    runSweep(state, true, noBoundaryPlan());
+}
+BENCHMARK(BM_SweepWarmNoBoundary)->Unit(benchmark::kMillisecond);
+
+void
 BM_TemplateCheckpoint(benchmark::State &state)
 {
     // The fixed cost warm start adds on top of the forked tails: run
-    // the shared prefix to its checkpoint and serialise the image.
+    // the shared prefix once through the engine's target ladder (just
+    // after zero, 1/4, 1/2, 3/4 of the 4s divergence) and serialise
+    // an image at each.
     WorkloadSpec spec = parseWorkloadSpec(kSpec);
-    spec.config.checkpointAt = 3 * kSec;
+    spec.config.checkpointAt = 1;
+    spec.config.checkpointLaterAt = {kSec, 2 * kSec, 3 * kSec};
     spec.config.checkpointDeadline = 4 * kSec;
     spec.config.checkpointStop = true;
     for (auto _ : state) {

@@ -131,6 +131,8 @@ struct WarmGroup
     Time divergeAt = kTimeNever;        //!< first member-only fault
     std::string image;                  //!< template checkpoint; empty
                                         //!< = group runs cold
+    Time templateSimTime = 0;           //!< simulated time the template
+                                        //!< run covered
 };
 
 /**
@@ -201,13 +203,16 @@ faultPrefix(const std::vector<ExperimentTask> &tasks, WarmGroup &group)
 /**
  * Run the group's shared prefix to a checkpoint. The boundary must
  * land strictly before the divergence time, and as late as possible
- * for the best sharing, so the target time steps down from 3/4 of the
- * divergence time until a run finds a quiescent boundary inside
- * [target, divergeAt). Returns an empty image when none exists — the
- * group then runs cold, which is always correct.
+ * for the best sharing. One template run gets a ladder of ascending
+ * targets (just after zero, then 1/4, 1/2 and 3/4 of the divergence
+ * time) and images the first quiescent boundary at or after each; the
+ * last image before divergence wins. That is the image a run per
+ * target, tried from the top rung down, would pick. Leaves the image
+ * empty when none exists — the group then runs cold, which is always
+ * correct.
  */
-std::string
-buildTemplateImage(const ExperimentTask &first, const WarmGroup &group,
+void
+buildTemplateImage(const ExperimentTask &first, WarmGroup &group,
                    const SweepOptions &opts)
 {
     WorkloadSpec spec = first.spec;
@@ -221,44 +226,44 @@ buildTemplateImage(const ExperimentTask &first, const WarmGroup &group,
     if (opts.watchdogEvents > 0)
         spec.config.watchdogEvents = opts.watchdogEvents;
 
-    for (const double fraction : {0.75, 0.5, 0.25, 0.0}) {
-        const Time target = std::max<Time>(
-            1, static_cast<Time>(
-                   static_cast<double>(group.divergeAt) * fraction));
-        std::string image;
-        spec.config.checkpointAt = target;
-        spec.config.checkpointDeadline = group.divergeAt;
-        spec.config.checkpointStop = true;
-        spec.config.checkpointSink = [&image](std::string img) {
-            image = std::move(img);
-        };
-        try {
-            runWorkloadSpec(spec);
-        } catch (const std::exception &) {
-            // No boundary in [target, divergeAt) — or the prefix run
-            // itself failed, in which case every member will report
-            // its own failure from its own cold run.
-            continue;
-        }
-        if (image.empty())
-            continue;
+    const auto rung = [&group](double fraction) {
+        return std::max<Time>(
+            1, static_cast<Time>(static_cast<double>(group.divergeAt) *
+                                 fraction));
+    };
+    spec.config.checkpointAt = rung(0.0);
+    spec.config.checkpointLaterAt = {rung(0.25), rung(0.5), rung(0.75)};
+    spec.config.checkpointDeadline = group.divergeAt;
+    spec.config.checkpointStop = true;
+    spec.config.checkpointSink = [&group](std::string img) {
         // The image's first payload field is the boundary time; an
         // image taken at or past the divergence point would hand
         // members a prefix they do not share.
-        if (CkptReader(image).time() < group.divergeAt)
-            return image;
+        if (CkptReader(img).time() < group.divergeAt)
+            group.image = std::move(img);
+    };
+    try {
+        group.templateSimTime = runWorkloadSpec(spec).simulatedTime;
+    } catch (const SimError &e) {
+        // No boundary before divergence for the later targets — or
+        // the prefix run itself failed, in which case every member
+        // will report its own failure from its own cold run. Images
+        // of the earlier targets stay usable either way.
+        group.templateSimTime = e.simTime();
+    } catch (const std::exception &) {
+        // Unstructured failures carry no simulated time to report.
     }
-    return std::string();
 }
 
 /**
- * Run one task forked from @p image. Any failure — or any structural
- * surprise — falls back to a plain cold contained run, so a sweep's
- * output bytes never depend on whether warm start was attempted.
+ * Run one task forked from @p image; false when the warm run failed
+ * (or hit any structural surprise) and the task must run cold, so a
+ * sweep's output bytes never depend on whether warm start was
+ * attempted.
  */
-TaskOutcome
-runContainedFrom(const ExperimentTask &task, const SweepOptions &opts,
-                 const std::string &image, SimResults &results)
+bool
+runForked(const ExperimentTask &task, const SweepOptions &opts,
+          const std::string &image, SimResults &results)
 {
     WorkloadSpec spec = task.spec;
     spec.config.chaos.attempt = 1;
@@ -268,10 +273,10 @@ runContainedFrom(const ExperimentTask &task, const SweepOptions &opts,
         spec.config.watchdogEvents = opts.watchdogEvents;
     try {
         results = runWorkloadSpecFrom(spec, image);
-        return TaskOutcome{};
+        return true;
     } catch (const std::exception &) {
         results = SimResults{};
-        return runContained(task, opts, results);
+        return false;
     }
 }
 
@@ -309,8 +314,8 @@ planWarmStart(const std::vector<ExperimentTask> &tasks,
     }
 
     parallelFor(groups.size(), opts.jobs, [&](std::size_t g) {
-        groups[g].image = buildTemplateImage(
-            tasks[groups[g].members.front()], groups[g], opts);
+        buildTemplateImage(tasks[groups[g].members.front()], groups[g],
+                           opts);
     });
 
     std::vector<const std::string *> imageOf(tasks.size(), nullptr);
@@ -369,6 +374,7 @@ runTasks(std::vector<ExperimentTask> tasks, const SweepOptions &opts)
 
     std::vector<SimResults> results(tasks.size());
     std::vector<TaskOutcome> outcomes(tasks.size());
+    std::vector<char> forked(tasks.size(), 0);
     std::atomic<bool> stop{false};
     const auto start = std::chrono::steady_clock::now();
 
@@ -385,17 +391,20 @@ runTasks(std::vector<ExperimentTask> tasks, const SweepOptions &opts)
             outcomes[i].message = "skipped: an earlier task failed";
             return;
         }
-        outcomes[i] =
-            imageOf[i]
-                ? runContainedFrom(tasks[i], opts, *imageOf[i],
-                                   results[i])
-                : runContained(tasks[i], opts, results[i]);
+        forked[i] = imageOf[i] &&
+                    runForked(tasks[i], opts, *imageOf[i], results[i]);
+        if (!forked[i])
+            outcomes[i] = runContained(tasks[i], opts, results[i]);
         if (!outcomes[i].ok() && !opts.keepGoing)
             stop.store(true);
     });
     const auto stopTime = std::chrono::steady_clock::now();
     outcome.wallSec =
         std::chrono::duration<double>(stopTime - start).count();
+    outcome.forkedTasks = static_cast<std::size_t>(
+        std::count(forked.begin(), forked.end(), 1));
+    for (const WarmGroup &group : groups)
+        outcome.templateSimTime += group.templateSimTime;
 
     outcome.runs.reserve(tasks.size());
     for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -513,7 +522,14 @@ formatSweepSummary(const SweepOutcome &outcome, bool includePerf)
         }
         table.addRow(std::move(row));
     }
-    return table.str();
+    if (!includePerf)
+        return table.str();
+    std::ostringstream os;
+    os << table.str() << "warm start: " << outcome.forkedTasks << "/"
+       << outcome.runs.size() << " tasks forked from a template image, "
+       << TextTable::num(toSeconds(outcome.templateSimTime), 2)
+       << " s simulated by template runs\n";
+    return os.str();
 }
 
 } // namespace piso::exp

@@ -118,6 +118,13 @@ struct SweepOutcome
     int jobs = 1;               //!< resolved worker count
     double wallSec = 0.0;       //!< wall-clock of the parallel region
 
+    /** Warm start, out of band like wallSec: tasks that ran forked
+     *  from a template image, and the simulated time the template runs
+     *  covered (each run's stop time, or the SimError's simTime() when
+     *  it threw). */
+    std::size_t forkedTasks = 0;
+    Time templateSimTime = 0;
+
     /** Number of runs that did not end Ok. */
     std::size_t failures() const;
 
@@ -149,7 +156,8 @@ std::string formatSweepJsonl(const SweepOutcome &outcome);
 
 /** Aligned summary table (task, params, status, simulated time, jobs,
  *  mean response) for terminals. @p includePerf adds per-task
- *  simulator-performance columns (events, wall ms, M events/s); it
+ *  simulator-performance columns (events, wall ms, M events/s) and a
+ *  warm-start footer line (forked tasks, template simulated time); it
  *  defaults off because host timing varies run to run, and the
  *  jobs-invariance test compares the perf-free table. */
 std::string formatSweepSummary(const SweepOutcome &outcome,

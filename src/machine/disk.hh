@@ -196,7 +196,7 @@ class DiskDevice
 
     /** Head/fault/RNG/stats state. Images are taken only while the
      *  device is idle with an empty queue (in-flight callbacks cannot
-     *  serialise; Kernel::requireIoQuiescent enforces it). */
+     *  serialise; Kernel::ioQuiescent enforces it). */
     template <class Ar>
     void
     serialize(Ar &ar)
@@ -228,10 +228,10 @@ class DiskDevice
     std::string name_;
 
     // piso-lint: allow(checkpoint-field-coverage) -- empty in any
-    // image (Kernel::requireIoQuiescent); nothing to image.
+    // image (Kernel::ioQuiescent); nothing to image.
     std::deque<DiskRequest> queue_;
     // piso-lint: allow(checkpoint-field-coverage) -- false in any
-    // image (Kernel::requireIoQuiescent).
+    // image (Kernel::ioQuiescent).
     bool busy_ = false;
     double slowFactor_ = 1.0;
     double errorRate_ = 0.0;

@@ -119,7 +119,7 @@ class NetworkInterface
     const NetScheduler &scheduler() const { return *scheduler_; }
 
     /** Counters only: images are taken while the link is idle
-     *  (Kernel::requireIoQuiescent). */
+     *  (Kernel::ioQuiescent). */
     template <class Ar>
     void
     serialize(Ar &ar)
@@ -147,10 +147,10 @@ class NetworkInterface
     Time overhead_;
 
     // piso-lint: allow(checkpoint-field-coverage) -- empty in any
-    // image (Kernel::requireIoQuiescent); nothing to image.
+    // image (Kernel::ioQuiescent); nothing to image.
     std::deque<NetMessage> queue_;
     // piso-lint: allow(checkpoint-field-coverage) -- false in any
-    // image (Kernel::requireIoQuiescent).
+    // image (Kernel::ioQuiescent).
     bool busy_ = false;
     std::uint64_t nextId_ = 1;
     Counter total_;

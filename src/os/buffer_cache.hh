@@ -53,13 +53,13 @@ struct CacheBlock
     bool valid = false;     //!< data present (false: read in flight)
     bool dirty = false;
     // piso-lint: allow(checkpoint-field-coverage) -- false in any
-    // image (Kernel::requireIoQuiescent).
+    // image (Kernel::ioQuiescent).
     bool flushing = false;  //!< write in flight; not stealable
     SpuId owner = kNoSpu;   //!< SPU charged for the page
 
     /** Callbacks run when an in-flight read completes. */
     // piso-lint: allow(checkpoint-field-coverage) -- empty in any
-    // image (Kernel::requireIoQuiescent); closures cannot serialise.
+    // image (Kernel::ioQuiescent); closures cannot serialise.
     std::vector<std::function<void()>> waiters;
 
     /** @name BufferCache internals (slab index and LRU links). */
@@ -142,7 +142,7 @@ class BufferCache
             fn(slab_[slot]);
     }
 
-    /** @name I/O quiescence probes (Kernel::requireIoQuiescent) */
+    /** @name I/O quiescence probes (Kernel::ioQuiescent) */
     /// @{
     /** Some block has a read in flight with waiters registered. */
     bool hasReadWaiters() const;
@@ -156,7 +156,7 @@ class BufferCache
      *  and LRU iteration order — both observable through steal and
      *  flush decisions — restore bit-identically. Images are taken
      *  only when no block is flushing and no waiters are registered
-     *  (Kernel::requireIoQuiescent). */
+     *  (Kernel::ioQuiescent). */
     /// @{
     template <class Ar>
     void

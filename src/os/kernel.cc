@@ -1414,46 +1414,48 @@ Kernel::bdflush()
 // Checkpoint
 // --------------------------------------------------------------------
 
-void
-Kernel::requireIoQuiescent() const
+bool
+Kernel::ioQuiescent(std::string *why) const
 {
+    // The reason is built only on request: the run loop probes every
+    // boundary past a checkpoint target and rarely needs to say why.
+    const auto reject = [why](const auto &...parts) {
+        if (why)
+            *why = detail::concat(parts...);
+        return false;
+    };
     for (const DiskDevice *d : disks_) {
-        if (d->busy() || d->queueDepth() > 0) {
-            throw InvariantError("disk '" + d->name() +
-                                 "' active at checkpoint time");
-        }
+        if (d->busy() || d->queueDepth() > 0)
+            return reject("disk '", d->name(), "' active at checkpoint time");
     }
     if (net_ && (net_->busy() || net_->queueDepth() > 0))
-        throw InvariantError("network active at checkpoint time");
+        return reject("network active at checkpoint time");
     for (DiskId d : flushBacklog_.ids()) {
-        if (const std::uint64_t *v = flushBacklog_.find(d); v && *v != 0) {
-            throw InvariantError(
-                "flush backlog outstanding at checkpoint time");
-        }
+        if (const std::uint64_t *v = flushBacklog_.find(d); v && *v != 0)
+            return reject("flush backlog outstanding at checkpoint time");
     }
     for (DiskId d : throttleWaiters_.ids()) {
         if (const std::vector<Process *> *v = throttleWaiters_.find(d);
-            v && !v->empty()) {
-            throw InvariantError(
-                "write-throttled processes at checkpoint time");
-        }
+            v && !v->empty())
+            return reject("write-throttled processes at checkpoint time");
     }
     for (const auto &p : processes_) {
         if (p->pendingIo > 0) {
-            throw InvariantError("process '" + p->name() +
-                                 "' waiting on I/O at checkpoint time");
+            return reject("process '", p->name(),
+                          "' waiting on I/O at checkpoint time");
         }
     }
     // Last: these scan the whole slab, and the cheap checks above
     // already refuse most non-quiescent boundaries.
     if (cache_.hasReadWaiters()) {
-        throw InvariantError("buffer cache has a block with read waiters "
-                             "at checkpoint time (not I/O-quiescent)");
+        return reject("buffer cache has a block with read waiters at "
+                      "checkpoint time (not I/O-quiescent)");
     }
     if (cache_.hasFlushingBlock()) {
-        throw InvariantError("buffer cache has a flushing block at "
-                             "checkpoint time (not I/O-quiescent)");
+        return reject("buffer cache has a flushing block at checkpoint "
+                      "time (not I/O-quiescent)");
     }
+    return true;
 }
 
 template <class Ar>

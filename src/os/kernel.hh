@@ -278,14 +278,15 @@ class Kernel : public SchedClient
      *  ordering key, so the restored heap pops identically). */
     /// @{
     /**
-     * Throw InvariantError unless the I/O system is quiescent enough
-     * to checkpoint: no disk or network activity, no flush backlog,
-     * no throttled writers, no process waiting on I/O, no cache block
-     * with read waiters or a write in flight. Dirty cache blocks are
-     * fine; in-flight ones are not. Every image write passes this
-     * check first, so no device or cache serialises in-flight state.
+     * Whether the I/O system is quiescent enough to checkpoint: no
+     * disk or network activity, no flush backlog, no throttled
+     * writers, no process waiting on I/O, no cache block with read
+     * waiters or a write in flight. Dirty cache blocks are fine;
+     * in-flight ones are not. Every image write passes this check
+     * first, so no device or cache serialises in-flight state. When
+     * false and @p why is set, *why names the first failing condition.
      */
-    void requireIoQuiescent() const;
+    bool ioQuiescent(std::string *why = nullptr) const;
 
     template <class Ar>
     void serialize(Ar &ar);
@@ -505,10 +506,10 @@ class Kernel : public SchedClient
 
     /** Outstanding kernel-write sectors per disk (throttling). */
     // piso-lint: allow(checkpoint-field-coverage) -- checked zero by
-    // requireIoQuiescent() before any image write; nothing to image.
+    // ioQuiescent() before any image write; nothing to image.
     DenseTable<DiskId, std::uint64_t> flushBacklog_;
     // piso-lint: allow(checkpoint-field-coverage) -- checked empty by
-    // requireIoQuiescent() before any image write; nothing to image.
+    // ioQuiescent() before any image write; nothing to image.
     DenseTable<DiskId, std::vector<Process *>> throttleWaiters_;
     bool bdflushPending_ = false;
 

@@ -175,10 +175,13 @@ struct Simulation::Impl
     std::optional<std::vector<EvDesc>>
     pendingDescriptors(std::string *reject = nullptr) const;
 
-    /** Attempt a checkpoint at the current boundary; false when the
-     *  simulation is not quiescent here. */
-    bool tryCheckpoint(std::string *why = nullptr);
+    /** Whether now() is a checkpoint boundary: the one statement of
+     *  the boundary rules, shared by run()'s checkpoint targets and
+     *  the public checkpoint(). When false and @p why is set, *why
+     *  names the first rule the state breaks. */
+    bool quiescent(std::string *why = nullptr) const;
 
+    /** Throws InvariantError unless quiescent(). */
     void writeImage(std::ostream &out);
     void loadImage(CkptReader &r);
     /** Every subsystem's state, in image order; one body for both
@@ -688,10 +691,18 @@ Simulation::run()
                 im.events.now());
     };
 
-    if (im.cfg.checkpointAt > 0 && !im.cfg.checkpointSink)
+    // Checkpoint targets: checkpointAt, then checkpointLaterAt.
+    std::vector<Time> targets;
+    if (im.cfg.checkpointAt > 0) {
+        targets = im.cfg.checkpointLaterAt;
+        targets.insert(targets.begin(), im.cfg.checkpointAt);
+    }
+    if (!targets.empty() && !im.cfg.checkpointSink)
         throw ConfigError("checkpointAt set without a checkpointSink");
-    bool ckptPending = im.cfg.checkpointAt > 0;
-    bool stoppedAtCheckpoint = false;
+    if (!std::is_sorted(targets.begin(), targets.end()))
+        throw ConfigError("checkpointLaterAt must ascend from checkpointAt");
+    std::size_t nextTarget = 0;
+    const bool stopAfterTargets = im.cfg.checkpointStop && !targets.empty();
 
     const auto nextFaultAt = [&im] {
         return im.faultCursor < im.faultSchedule.size()
@@ -699,52 +710,67 @@ Simulation::run()
                    : kTimeNever;
     };
 
+    // One step of the run: the fault-plan cursor delivers every fault
+    // due before (or at) the next event, at its exact timestamp;
+    // otherwise one event runs. False once the queue is empty.
+    const auto step = [&] {
+        if (nextFaultAt() <= im.events.nextEventTime()) {
+            const FaultEvent &ev = im.faultSchedule[im.faultCursor++];
+            im.events.advanceTo(ev.at);
+            im.applyFault(ev);
+            return true;
+        }
+        if (!im.events.runOne())
+            return false;
+        if (guarded)
+            checkBudgets();
+        return true;
+    };
+
     while (im.kernel->liveProcesses() > 0 &&
            im.events.now() <= im.cfg.maxTime) {
-        // Checkpoint trigger: once the requested time is the earliest
-        // thing left to happen, advance the clock onto it and try at
-        // this (and every later) boundary until the state is quiescent.
-        if (ckptPending) {
-            const Time at = im.cfg.checkpointAt;
-            if (im.events.now() >= at ||
-                (im.events.nextEventTime() > at && nextFaultAt() > at)) {
-                if (im.events.now() < at)
-                    im.events.advanceTo(at);
-                std::string why;
-                if (im.tryCheckpoint(&why)) {
-                    ckptPending = false;
-                    if (im.cfg.checkpointStop) {
-                        stoppedAtCheckpoint = true;
-                        break;
-                    }
-                } else if (im.cfg.checkpointDeadline > 0 &&
-                           im.events.now() >= im.cfg.checkpointDeadline) {
+        // Checkpoint trigger: once the next target is the earliest
+        // thing left to happen, advance the clock onto it and probe
+        // this (and every later) boundary until one is quiescent. An
+        // image serves every target up to its time; a rejection is
+        // clock-independent, so it holds for every target reached.
+        while (nextTarget < targets.size()) {
+            const Time at = targets[nextTarget];
+            if (im.events.now() < at &&
+                (im.events.nextEventTime() <= at || nextFaultAt() <= at))
+                break;
+            if (im.events.now() < at)
+                im.events.advanceTo(at);
+            if (!im.quiescent()) {
+                if (im.cfg.checkpointDeadline > 0 &&
+                    im.events.now() >= im.cfg.checkpointDeadline) {
+                    std::string why;
+                    im.quiescent(&why);
                     throw InvariantError(
                         "no quiescent checkpoint boundary found by "
                         "the deadline (last boundary rejected: " +
                             why + ")",
                         im.events.now());
                 }
+                break;
             }
+            std::ostringstream os;
+            im.writeImage(os);
+            im.cfg.checkpointSink(std::move(os).str());
+            while (nextTarget < targets.size() &&
+                   targets[nextTarget] <= im.events.now())
+                ++nextTarget;
         }
-        // Fault-plan cursor: deliver every fault due before (or at)
-        // the next event, at its exact timestamp.
-        if (nextFaultAt() <= im.events.nextEventTime()) {
-            const FaultEvent &ev = im.faultSchedule[im.faultCursor++];
-            im.events.advanceTo(ev.at);
-            im.applyFault(ev);
-            continue;
-        }
-        if (!im.events.runOne())
+        if (stopAfterTargets && nextTarget == targets.size())
             break;
-        if (guarded)
-            checkBudgets();
+        if (!step())
+            break;
     }
 
     // A requested checkpoint that never fired must not silently produce
     // nothing: the caller is left waiting for a sink call (or an output
     // file) that will never come.
-    if (ckptPending)
+    if (nextTarget < targets.size())
         throw InvariantError(
             "simulation ended before the requested checkpoint could be "
             "taken (no quiescent boundary at or after the requested "
@@ -756,21 +782,12 @@ Simulation::run()
     // have already exited; their response times are unaffected). A
     // template run that stopped at its checkpoint skips the drain —
     // its results are discarded anyway.
-    if (!stoppedAtCheckpoint) {
+    if (!stopAfterTargets) {
         im.kernel->syncAll();
         while (!im.kernel->ioIdle() &&
                im.events.now() <= im.cfg.maxTime) {
-            if (nextFaultAt() <= im.events.nextEventTime()) {
-                const FaultEvent &ev =
-                    im.faultSchedule[im.faultCursor++];
-                im.events.advanceTo(ev.at);
-                im.applyFault(ev);
-                continue;
-            }
-            if (!im.events.runOne())
+            if (!step())
                 break;
-            if (guarded)
-                checkBudgets();
         }
     }
 
@@ -1022,53 +1039,34 @@ Simulation::Impl::pendingDescriptors(std::string *reject) const
 }
 
 bool
-Simulation::Impl::tryCheckpoint(std::string *why)
+Simulation::Impl::quiescent(std::string *why) const
 {
+    const auto reject = [why](const char *rule) {
+        if (why)
+            *why = rule;
+        return false;
+    };
     // A boundary is legal pre-loop (nothing executed yet) or strictly
     // between event times; never with events still due at now().
     if (events.executedEvents() > 0 &&
-        events.nextEventTime() <= events.now()) {
-        if (why)
-            *why = "events still due at the current time";
-        return false;
-    }
+        events.nextEventTime() <= events.now())
+        return reject("events still due at the current time");
     // Nor with a fault due at the current time: restore re-derives the
     // fault cursor as "first fault strictly after now()", so an image
     // taken here would silently drop that fault from the continuation.
     if (faultCursor < faultSchedule.size() &&
-        faultSchedule[faultCursor].at <= events.now()) {
-        if (why)
-            *why = "a scheduled fault is due at the current time";
-        return false;
-    }
-    try {
-        kernel->requireIoQuiescent();
-    } catch (const InvariantError &e) {
-        if (why)
-            *why = e.what();
-        return false;
-    }
-    std::string reject;
-    if (!pendingDescriptors(&reject)) {
-        if (why)
-            *why = reject;
-        return false;
-    }
-    std::ostringstream os;
-    writeImage(os);
-    cfg.checkpointSink(std::move(os).str());
-    return true;
+        faultSchedule[faultCursor].at <= events.now())
+        return reject("a scheduled fault is due at the current time");
+    return kernel->ioQuiescent(why) && pendingDescriptors(why);
 }
 
 void
 Simulation::Impl::writeImage(std::ostream &out)
 {
-    std::string reject;
-    const auto descs = pendingDescriptors(&reject);
-    if (!descs)
-        throw InvariantError("checkpoint rejected: " + reject,
-                             events.now());
-
+    std::string why;
+    if (!quiescent(&why))
+        throw InvariantError("checkpoint rejected: " + why, events.now());
+    const auto descs = pendingDescriptors();
     CkptWriter w;
     w(events.now(), events.nextSeq(), events.executedEvents(), *descs);
     imageSections(w);
@@ -1206,14 +1204,6 @@ Simulation::checkpoint(std::ostream &out)
     LogContextScope logScope(im.log);
     if (!im.setupDone)
         im.setupRun();
-    if (im.events.executedEvents() > 0 &&
-        im.events.nextEventTime() <= im.events.now()) {
-        throw InvariantError(
-            "checkpoint requires a quiescent event boundary (events "
-            "still due at the current time)",
-            im.events.now());
-    }
-    im.kernel->requireIoQuiescent();
     im.writeImage(out);
 }
 

@@ -183,18 +183,24 @@ struct SystemConfig
      * time and hands the image to checkpointSink. A boundary is
      * quiescent when no I/O is in flight and every pending event is
      * one of the serialisable descriptor kinds; the run keeps
-     * executing events until it finds one.
+     * executing events until it finds one. Each later target gets the
+     * image a run with only that target would take; one boundary past
+     * several targets serves them all with one sink call.
      */
     /// @{
     /** Earliest simulated time to checkpoint at (0 = off). */
     Time checkpointAt = 0;
 
+    /** Further checkpoint targets after checkpointAt, ascending
+     *  (ignored while checkpointAt is 0). */
+    std::vector<Time> checkpointLaterAt;
+
     /** Fail with InvariantError if no quiescent boundary was found by
      *  this time (0 = keep looking until the run ends). */
     Time checkpointDeadline = 0;
 
-    /** Stop the run right after the checkpoint is taken (used by the
-     *  warm-start sweep engine's template runs). */
+    /** Stop the run right after the last target's checkpoint is
+     *  taken (used by the warm-start sweep engine's template runs). */
     bool checkpointStop = false;
 
     /** Receives the serialised image when the checkpoint fires. Must
@@ -241,8 +247,9 @@ class Simulation
      * checkpoint() serialises the complete state to @p out. It may be
      * called before run() (a t=0 image) or from inside a scheduled
      * event; either way the simulation must be at a quiescent
-     * boundary — no I/O in flight and only serialisable events
-     * pending — or InvariantError is thrown.
+     * boundary — no event or fault still due at the current time, no
+     * I/O in flight and only serialisable events pending — or
+     * InvariantError is thrown (the same rules run() checkpoints by).
      *
      * restore() is the inverse: construct a Simulation with the exact
      * same SystemConfig and replay the identical addSpu()/addJob()

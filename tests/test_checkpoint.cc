@@ -9,8 +9,9 @@
  * and the execution trace — to the run that never stopped. The battery
  * exercises mid-run checkpoints across the paper-shaped workloads under
  * all three schemes, round-trip image stability (save → load → save),
- * the t=0 pre-run image, the config-digest guard, and the fault-plan
- * prefix contract the warm-start sweep engine is built on.
+ * the t=0 pre-run image, the config-digest guard, the fault-plan
+ * prefix contract the warm-start sweep engine is built on, and the
+ * several-target runs its template search makes.
  *
  * Every test here also runs under -DPISO_HARDENED=ON in CI, so a
  * restore that leaves any subsystem in a state an invariant probe can
@@ -426,6 +427,52 @@ TEST(Checkpoint, UnreachableDeadlineIsAnInvariantError)
     EXPECT_THROW(runWorkloadSpec(spec), InvariantError);
 }
 
+TEST(Checkpoint, DeadlineMessageIsPinned)
+{
+    // The copy/Quota counter-example never quiesces. The message and
+    // the throw time were recorded before the boundary probe built its
+    // reason lazily; the probe must name the same rule at the same
+    // boundary.
+    WorkloadSpec spec = shapeSpec(kCopyShape, Scheme::Quota);
+    spec.config.checkpointAt = 50 * kMs;
+    spec.config.checkpointDeadline = 95 * kMs;
+    spec.config.checkpointSink = [](std::string) {};
+    try {
+        runWorkloadSpec(spec);
+        FAIL() << "no InvariantError";
+    } catch (const InvariantError &e) {
+        EXPECT_STREQ(e.what(),
+                     "no quiescent checkpoint boundary found by the "
+                     "deadline (last boundary rejected: disk 'disk0' "
+                     "active at checkpoint time)");
+        EXPECT_EQ(e.simTime(), 95116707);
+    }
+}
+
+TEST(Checkpoint, PreRunCheckpointRejectsAFaultDueAtTimeZero)
+{
+    // Restore resumes the fault cursor after the image time, so a
+    // t=0 image would silently drop a fault due at t=0: the restored
+    // run would not be the cold one. checkpoint() must refuse the
+    // boundary exactly as run()'s checkpoint targets do.
+    WorkloadSpec spec = shapeSpec(kPmakeShape, Scheme::PIso);
+    spec.config.faults.diskSlow(0, 0, 5 * kSec, 8.0);
+    Simulation sim(spec.config);
+    populateWorkloadSpec(sim, spec);
+    std::ostringstream out;
+    EXPECT_THROW(sim.checkpoint(out), InvariantError);
+    EXPECT_TRUE(out.str().empty());
+}
+
+TEST(Checkpoint, LaterTargetsMustAscend)
+{
+    WorkloadSpec spec = shapeSpec(kComputeShape, Scheme::PIso);
+    spec.config.checkpointAt = 500 * kMs;
+    spec.config.checkpointLaterAt = {900 * kMs, 700 * kMs};
+    spec.config.checkpointSink = [](std::string) {};
+    EXPECT_THROW(runWorkloadSpec(spec), ConfigError);
+}
+
 TEST(Checkpoint, RestoreAfterRunIsRejected)
 {
     const WorkloadSpec spec = shapeSpec(kCopyShape, Scheme::PIso);
@@ -450,6 +497,103 @@ TEST(Checkpoint, RestoreIntoUnpopulatedSimulationIsRejected)
     Simulation sim(spec.config);
     std::istringstream in(o.image);
     EXPECT_THROW(sim.restore(in), ConfigError);
+}
+
+// ---------------------------------------------------------------------
+// Several targets in one run: each gets a single-target run's image
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Every sink call of one stopping run with checkpoint @p targets. */
+std::vector<std::string>
+imagesAt(WorkloadSpec spec, const std::vector<Time> &targets,
+         Time deadline)
+{
+    std::vector<std::string> images;
+    spec.config.checkpointAt = targets.front();
+    spec.config.checkpointLaterAt.assign(targets.begin() + 1,
+                                         targets.end());
+    spec.config.checkpointDeadline = deadline;
+    spec.config.checkpointStop = true;
+    spec.config.checkpointSink = [&images](std::string img) {
+        images.push_back(std::move(img));
+    };
+    runWorkloadSpec(spec);
+    return images;
+}
+
+/** The images separate single-target runs take, one per target,
+ *  with repeats of the previous image folded into it. */
+std::vector<std::string>
+singleTargetImages(const WorkloadSpec &spec,
+                   const std::vector<Time> &targets, Time deadline)
+{
+    std::vector<std::string> images;
+    for (Time at : targets) {
+        const std::vector<std::string> one =
+            imagesAt(spec, {at}, deadline);
+        EXPECT_EQ(one.size(), 1u) << "t=" << at;
+        if (!one.empty() && (images.empty() || images.back() != one[0]))
+            images.push_back(one[0]);
+    }
+    return images;
+}
+
+} // namespace
+
+TEST(Checkpoint, MultiTargetRunEqualsSingleTargetRuns)
+{
+    // Dense boundaries: every target is itself quiescent, so each gets
+    // its own image at its own time.
+    {
+        const WorkloadSpec spec = shapeSpec(kComputeShape, Scheme::PIso);
+        const std::vector<Time> targets{1, 200 * kMs, 500 * kMs,
+                                        900 * kMs, 1500 * kMs};
+        const auto single = singleTargetImages(spec, targets, 2 * kSec);
+        ASSERT_EQ(single.size(), targets.size());
+        EXPECT_EQ(imagesAt(spec, targets, 2 * kSec), single);
+    }
+    // Sparse boundaries: copy/PIso first quiesces at ~99.8 ms, so that
+    // one boundary serves the 50, 70 and 90 ms targets with one sink
+    // call; 100 ms still gets its own image.
+    {
+        const WorkloadSpec spec = shapeSpec(kCopyShape, Scheme::PIso);
+        const std::vector<Time> targets{50 * kMs, 70 * kMs, 90 * kMs,
+                                        100 * kMs};
+        const auto single = singleTargetImages(spec, targets, kSec);
+        ASSERT_EQ(single.size(), 2u);
+        EXPECT_GT(CkptReader(single[0]).time(), 90 * kMs);
+        EXPECT_EQ(imagesAt(spec, targets, kSec), single);
+    }
+    // No boundary at all: no image, and the single-target run's error.
+    {
+        const WorkloadSpec spec = shapeSpec(kCopyShape, Scheme::Quota);
+        std::string single;
+        try {
+            imagesAt(spec, {50 * kMs}, 95 * kMs);
+        } catch (const InvariantError &e) {
+            single = e.what();
+        }
+        ASSERT_FALSE(single.empty());
+
+        WorkloadSpec multi = spec;
+        multi.config.checkpointAt = 50 * kMs;
+        multi.config.checkpointLaterAt = {70 * kMs, 90 * kMs};
+        multi.config.checkpointDeadline = 95 * kMs;
+        multi.config.checkpointStop = true;
+        int sinkCalls = 0;
+        multi.config.checkpointSink = [&sinkCalls](std::string) {
+            ++sinkCalls;
+        };
+        try {
+            runWorkloadSpec(multi);
+            ADD_FAILURE() << "no InvariantError";
+        } catch (const InvariantError &e) {
+            EXPECT_EQ(e.what(), single);
+        }
+        EXPECT_EQ(sinkCalls, 0);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -150,7 +150,10 @@ TEST(Determinism, WarmStartSweepMatchesColdAtAnyJobs)
     // No hidden failure records: every grid point must actually run.
     EXPECT_EQ(coldSerial.find("\"status\""), std::string::npos);
 
-    EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 1, true));
+    const exp::SweepOutcome warm =
+        exp::runPlan(plan, {.jobs = 1, .warmStart = true});
+    EXPECT_EQ(coldSerial, exp::formatSweepJsonl(warm));
+    EXPECT_EQ(warm.forkedTasks, warm.runs.size());
     EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 4, true));
     EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 8, true));
     EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 4, false));
@@ -165,6 +168,44 @@ TEST(Determinism, WarmStartHandlesMixedDigestGroups)
                      exp::parseGridAxis("scheme=smp,quota,piso"));
     const std::string coldSerial = sweepJsonlWarm(plan, 1, false);
     EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 4, true));
+}
+
+namespace {
+
+/** A pmake and a copy on one disk under the blind-fair (Iso) disk
+ *  policy: the disk never idles, so no quiescent boundary exists. */
+const char *kNoBoundarySpec = R"(
+machine cpus=2 memory_mb=24 disks=1 scheme=piso disk_policy=iso seed=5
+spu pmk share=1 disk=0
+spu cpy share=1 disk=0
+job pmk pmake name=build workers=2 files=6
+job cpy copy name=cp bytes_kb=4096
+)";
+
+} // namespace
+
+TEST(Determinism, WarmStartWithoutABoundaryRunsOnePrefix)
+{
+    // Warm start's worst case: one group diverging at D = 1 s and no
+    // boundary before it. Its template runs the prefix to D once (the
+    // old margin ladder ran it once per rung, about 4 x D), nothing
+    // forks, and the bytes are the cold run's.
+    const Time divergeAt = 1 * kSec;
+    const Time groups = 1;
+    exp::ExperimentPlan plan;
+    plan.base = parseWorkloadSpec(kNoBoundarySpec);
+    plan.axes.push_back(exp::parseGridAxis(
+        "fault_disk_slow=none,1:0.5:0:4,1:0.5:0:8"));
+    const std::string cold = sweepJsonlWarm(plan, 1, false);
+    EXPECT_EQ(cold.find("\"status\""), std::string::npos);
+    for (int jobs : {1, 4}) {
+        const exp::SweepOutcome out =
+            exp::runPlan(plan, {.jobs = jobs, .warmStart = true});
+        EXPECT_EQ(exp::formatSweepJsonl(out), cold) << "jobs=" << jobs;
+        EXPECT_EQ(out.forkedTasks, 0u) << "jobs=" << jobs;
+        EXPECT_GT(out.templateSimTime, 0) << "jobs=" << jobs;
+        EXPECT_LE(out.templateSimTime, groups * divergeAt) << "jobs=" << jobs;
+    }
 }
 
 TEST(Determinism, WarmStartOnSchemeOnlyPlanIsInert)
@@ -218,6 +259,10 @@ TEST(Determinism, SummaryPerfColumnsAreOptIn)
     EXPECT_EQ(exp::formatSweepSummary(out).find("M ev/s"),
               std::string::npos);
     EXPECT_NE(exp::formatSweepSummary(out, true).find("M ev/s"),
+              std::string::npos);
+    EXPECT_EQ(exp::formatSweepSummary(out).find("warm start:"),
+              std::string::npos);
+    EXPECT_NE(exp::formatSweepSummary(out, true).find("warm start:"),
               std::string::npos);
 }
 
