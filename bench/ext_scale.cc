@@ -15,6 +15,11 @@
  * part of the release-perf CI gate, and the sweep output is a plain
  * table.
  *
+ * "wall ms" and "ns/ev" time the run loop (RunPerf); "setup ms" is
+ * the rest of the host time from constructing the Simulation through
+ * run()'s return: adding SPUs and jobs, building the workloads' files
+ * and processes.
+ *
  *   ext_scale           full sweep table (a minute or so)
  *   ext_scale --quick   tiny structural run (ctest, label `scale`)
  *   ext_scale --check   assert the scaling contract:
@@ -25,6 +30,7 @@
  *                           than the eager baseline
  */
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -39,6 +45,7 @@ struct Measured
 {
     std::uint64_t events = 0;
     double wallSec = 0.0;
+    double setupSec = 0.0;
     std::uint64_t policyIters = 0;
     double simSec = 0.0;
 
@@ -48,6 +55,16 @@ struct Measured
                       : 0.0;
     }
 };
+
+/** Host seconds on a monotonic clock. */
+double
+hostSec()
+{
+    // piso-lint: allow(determinism-wallclock) -- host timing for the
+    // printed setup column; never feeds the simulation.
+    const auto now = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(now.time_since_epoch()).count();
+}
 
 /** One fixed-horizon run: @p spus SPUs configured, the first eight
  *  running the Figure 2 pmake shape (two parallel compiles each). */
@@ -62,6 +79,7 @@ runPoint(int cpus, int spus, Scheme scheme, bool eager, Time horizon)
     cfg.maxTime = horizon;
     cfg.eagerPolicyLoops = eager;
 
+    const double start = hostSec();
     Simulation sim(cfg);
 
     // Short compiles make the workload scheduling-bound: every segment
@@ -106,7 +124,8 @@ runPoint(int cpus, int spus, Scheme scheme, bool eager, Time horizon)
     }
 
     const SimResults r = sim.run();
-    return {r.perf.events, r.perf.wallSec,
+    const double total = hostSec() - start;
+    return {r.perf.events, r.perf.wallSec, total - r.perf.wallSec,
             r.perf.policyItersCpu + r.perf.policyItersMem +
                 r.perf.policyItersDisk + r.perf.policyItersNet,
             toSeconds(r.simulatedTime)};
@@ -116,19 +135,19 @@ void
 printRow(int cpus, int spus, Scheme scheme, const char *mode,
          const Measured &m)
 {
-    std::printf("%5d %5d  %-5s %-6s %10llu %9.1f %8.0f %12llu\n",
+    std::printf("%5d %5d  %-5s %-6s %10llu %9.1f %8.0f %9.1f %12llu\n",
                 cpus, spus, schemeName(scheme), mode,
                 static_cast<unsigned long long>(m.events),
-                m.wallSec * 1e3, m.nsPerEvent(),
+                m.wallSec * 1e3, m.nsPerEvent(), m.setupSec * 1e3,
                 static_cast<unsigned long long>(m.policyIters));
 }
 
 void
 printHeader()
 {
-    std::printf("%5s %5s  %-5s %-6s %10s %9s %8s %12s\n", "cpus",
-                "spus", "schm", "mode", "events", "wall ms",
-                "ns/ev", "policy iters");
+    std::printf("%5s %5s  %-5s %-6s %10s %9s %8s %9s %12s\n", "cpus",
+                "spus", "schm", "mode", "events", "wall ms", "ns/ev",
+                "setup ms", "policy iters");
 }
 
 int

@@ -47,12 +47,16 @@ FileSystem::allocate(std::string name, DiskId disk, std::uint64_t bytes,
 
     std::uint64_t start;
     if (placement == FilePlacement::Scattered) {
-        // Pseudo-random placement, retrying a few times on collision
-        // with the next-fit frontier region.
+        // One draw for a block-aligned position in the data zone, with
+        // no collision check: scattered extents may overlap each other
+        // and the next-fit region. A file that fills the zone exactly
+        // has one place to go and draws nothing.
         const std::uint64_t span = space.totalSectors - space.metadataEnd;
         if (sectors > span)
             PISO_FATAL("file '", name, "' larger than disk ", disk);
-        start = space.metadataEnd +
+        start = space.metadataEnd;
+        if (sectors < span)
+            start +=
                 (rng_.uniformInt(span - sectors) / perBlock) * perBlock;
     } else {
         if (space.nextFree + sectors > space.totalSectors)

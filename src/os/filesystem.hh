@@ -15,9 +15,9 @@
  */
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/sim/ids.hh"
 #include "src/sim/random.hh"
@@ -105,7 +105,9 @@ class FileSystem
     /** Absolute disk sector of block @p blockNo of file @p id. */
     std::uint64_t blockSector(FileId id, std::uint64_t blockNo) const;
 
-    /** Free sectors remaining on @p disk. */
+    /** Free sectors at @p disk's next-fit frontier: the room left
+     *  for Sequential files and extents. Scattered files land at
+     *  random positions and do not reduce it. */
     std::uint64_t freeSectors(DiskId disk) const;
 
     /** Checkpoint: full file table, allocator pointers and the
@@ -147,7 +149,9 @@ class FileSystem
     std::uint32_t blockBytes_;
     Rng rng_;
     std::map<DiskId, DiskSpace> disks_;
-    std::vector<FileInfo> files_;
+    /** Indexed by FileId. A deque never moves its elements, so file()
+     *  references stay valid and growth copies no records. */
+    std::deque<FileInfo> files_;
 };
 
 } // namespace piso

@@ -18,7 +18,9 @@ namespace piso {
 
 /**
  * Plays back a fixed list of actions, then exits. The workhorse for
- * unit tests and for fully-unrolled workload scripts.
+ * unit tests and for the workloads whose scripts are short enough to
+ * unroll (file copy, Ocean, OLTP, web server). Pmake does not use
+ * it: its workers compute each action on demand (pmake.cc).
  */
 class ScriptBehavior : public Behavior
 {

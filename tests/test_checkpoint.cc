@@ -473,6 +473,57 @@ TEST(Checkpoint, LaterTargetsMustAscend)
     EXPECT_THROW(runWorkloadSpec(spec), ConfigError);
 }
 
+TEST(Checkpoint, PmakeCursorPastEndIsRejected)
+{
+    // A pmake worker images only its cursor; its script is rebuilt
+    // from the configuration. A cursor saved at the end of a 3-file
+    // worker lies past the end of a 2-file one.
+    Simulation sim(SystemConfig{});
+    FileSystem fs;
+    fs.addDisk(0, 4000000);
+    const auto worker = [&](int files) {
+        PmakeConfig cfg;
+        cfg.parallelism = 1;
+        cfg.filesPerWorker = files;
+        cfg.inodeLock = 0;
+        WorkloadEnv env{fs, Rng(3), 0, 4096};
+        std::vector<ProcessSpec> procs =
+            makePmake("pm", cfg).build(sim.kernel(), env);
+        return std::move(procs.at(0).behavior);
+    };
+    Process self(1, 0, kNoJob, "p",
+                 std::make_unique<ScriptBehavior>(std::vector<Action>{}),
+                 Rng(1));
+    Rng rng(1);
+    const BehaviorContext ctx{0, rng};
+
+    const std::unique_ptr<Behavior> full = worker(3);
+    int actions = 0;
+    while (!std::holds_alternative<ExitAction>(full->next(self, ctx)))
+        ++actions;
+    EXPECT_EQ(actions, 1 + 3 * 6);
+    CkptWriter w;
+    full->serializeState(w);
+    const std::string image = w.image(/*digest=*/1);
+
+    // The cursor fits a worker of the same length: it resumes at exit.
+    const std::unique_ptr<Behavior> same = worker(3);
+    CkptReader fits(image);
+    same->serializeState(fits);
+    fits.expectEnd();
+    EXPECT_TRUE(std::holds_alternative<ExitAction>(same->next(self, ctx)));
+
+    const std::unique_ptr<Behavior> shorter = worker(2);
+    CkptReader past(image);
+    try {
+        shorter->serializeState(past);
+        FAIL() << "a cursor past the script end was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(), "checkpoint image rejected: script cursor "
+                               "beyond script end");
+    }
+}
+
 TEST(Checkpoint, RestoreAfterRunIsRejected)
 {
     const WorkloadSpec spec = shapeSpec(kCopyShape, Scheme::PIso);

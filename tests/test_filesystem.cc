@@ -154,3 +154,52 @@ TEST(FileSystem, DuplicateDiskRejected)
     FileSystem fs = makeFs();
     EXPECT_THROW(fs.addDisk(0, 100), std::runtime_error);
 }
+
+TEST(FileSystem, ScatteredFileFillingTheDataZoneDrawsNothing)
+{
+    // 1024 sectors: the metadata zone takes the first 64, leaving a
+    // 960-sector (120-block) data zone.
+    const std::uint64_t zone = (1024 - 64) * 512;
+    FileSystem fs;
+    fs.addDisk(0, 1024);
+    const FileId full =
+        fs.createFile("full", 0, zone, FilePlacement::Scattered);
+    EXPECT_EQ(fs.file(full).startSector, 64u);
+    EXPECT_EQ(fs.file(full).sectors, 960u);
+
+    // The next scattered file lands where it would have without the
+    // full one: filling the zone consumed no draw.
+    FileSystem fresh;
+    fresh.addDisk(0, 1024);
+    const FileId a = fs.createFile("a", 0, 4096, FilePlacement::Scattered);
+    const FileId b =
+        fresh.createFile("a", 0, 4096, FilePlacement::Scattered);
+    EXPECT_EQ(fs.file(a).startSector, fresh.file(b).startSector);
+
+    // One block short of the zone still draws: two possible starts.
+    const FileId c =
+        fs.createFile("c", 0, zone - 4096, FilePlacement::Scattered);
+    EXPECT_TRUE(fs.file(c).startSector == 64u ||
+                fs.file(c).startSector == 72u);
+}
+
+TEST(FileSystem, FreeSectorsIgnoresScatteredFiles)
+{
+    FileSystem fs = makeFs();
+    const std::uint64_t before = fs.freeSectors(0);
+    fs.createFile("s", 0, 1 << 20, FilePlacement::Scattered);
+    EXPECT_EQ(fs.freeSectors(0), before);
+}
+
+TEST(FileSystem, FileReferencesSurviveGrowth)
+{
+    FileSystem fs = makeFs();
+    const FileInfo *first = &fs.file(fs.createFile("f0", 0, 512));
+    for (int i = 1; i <= 100000; ++i) {
+        ASSERT_EQ(fs.createFile("f", 0, 512, FilePlacement::Scattered),
+                  i);
+    }
+    ASSERT_EQ(&fs.file(0), first);
+    EXPECT_EQ(first->name, "f0");
+    EXPECT_EQ(fs.file(100000).id, 100000);
+}

@@ -23,6 +23,57 @@ smallMachine()
     return cfg;
 }
 
+/**
+ * makePmake's build as a fully unrolled script per worker, in the
+ * order it creates files and draws compile jitter: the reference
+ * stream its on-demand workers must reproduce.
+ */
+std::vector<std::vector<Action>>
+unrolledPmake(const std::string &jobName, const PmakeConfig &cfg,
+              WorkloadEnv &env)
+{
+    const FileId meta =
+        env.fs.createFile(jobName + ".meta", env.disk, 512);
+    std::vector<std::vector<Action>> scripts;
+    for (int w = 0; w < cfg.parallelism; ++w) {
+        std::vector<Action> script;
+        script.push_back(GrowMemAction{cfg.workerWsPages});
+        for (int i = 0; i < cfg.filesPerWorker; ++i) {
+            const std::string stem = jobName + ".w" + std::to_string(w) +
+                                     ".f" + std::to_string(i);
+            const FileId src =
+                env.fs.createFile(stem + ".c", env.disk, cfg.srcBytes,
+                                  FilePlacement::Scattered);
+            const FileId obj =
+                env.fs.createFile(stem + ".o", env.disk, cfg.objBytes,
+                                  FilePlacement::Scattered);
+            if (cfg.inodeLock >= 0)
+                script.push_back(
+                    LockAction{cfg.inodeLock, false, cfg.lockHold});
+            script.push_back(ReadAction{src, 0, cfg.srcBytes});
+            const double f = env.rng.uniformRange(0.8, 1.2);
+            script.push_back(ComputeAction{static_cast<Time>(
+                static_cast<double>(cfg.compileCpu) * f)});
+            script.push_back(WriteAction{obj, 0, cfg.objBytes, false});
+            if (cfg.inodeLock >= 0)
+                script.push_back(
+                    LockAction{cfg.inodeLock, true, cfg.lockHold});
+            script.push_back(WriteAction{meta, 0, 512, cfg.metadataSync});
+        }
+        scripts.push_back(std::move(script));
+    }
+    return scripts;
+}
+
+/** An action's checkpoint bytes: equal bytes, equal action. */
+std::string
+actionBytes(const Action &a)
+{
+    CkptWriter w;
+    w(a);
+    return w.payload();
+}
+
 } // namespace
 
 TEST(ScriptBehavior, PlaysBackThenExits)
@@ -241,4 +292,76 @@ TEST(Workloads, InvalidConfigsRejected)
     FileCopyConfig cc;
     cc.bytes = 0;
     EXPECT_THROW(makeFileCopy("bad", cc), std::runtime_error);
+}
+
+TEST(Workloads, PmakeWorkerEmitsTheUnrolledScript)
+{
+    Simulation sim(smallMachine());
+    Process self(1, 2, kNoJob, "p",
+                 std::make_unique<ScriptBehavior>(std::vector<Action>{}),
+                 Rng(1));
+    Rng procRng(1);
+    const BehaviorContext ctx{0, procRng};
+
+    for (const int lock : {-1, 0}) {
+        for (const bool sync : {false, true}) {
+            for (const int workers : {1, 3}) {
+                SCOPED_TRACE(testing::Message()
+                             << "lock " << lock << " sync " << sync
+                             << " workers " << workers);
+                PmakeConfig cfg;
+                cfg.parallelism = workers;
+                cfg.filesPerWorker = 7;
+                cfg.metadataSync = sync;
+                cfg.inodeLock = lock;
+
+                FileSystem fs(512, 4096, 99);
+                fs.addDisk(0, 4000000);
+                WorkloadEnv env{fs, Rng(17), 0, 4096};
+                const JobSpec job = makePmake("pm", cfg);
+                const std::vector<ProcessSpec> procs =
+                    job.build(sim.kernel(), env);
+
+                FileSystem refFs(512, 4096, 99);
+                refFs.addDisk(0, 4000000);
+                WorkloadEnv refEnv{refFs, Rng(17), 0, 4096};
+                const std::vector<std::vector<Action>> ref =
+                    unrolledPmake("pm", cfg, refEnv);
+
+                ASSERT_EQ(procs.size(), ref.size());
+                for (std::size_t w = 0; w < ref.size(); ++w) {
+                    EXPECT_EQ(procs[w].name,
+                              "pm.cc" + std::to_string(w));
+                    EXPECT_EQ(procs[w].touchInterval, cfg.touchInterval);
+                    Behavior &b = *procs[w].behavior;
+                    for (std::size_t k = 0; k < ref[w].size(); ++k) {
+                        ASSERT_EQ(actionBytes(b.next(self, ctx)),
+                                  actionBytes(ref[w][k]))
+                            << "worker " << w << " action " << k;
+                    }
+                    EXPECT_TRUE(std::holds_alternative<ExitAction>(
+                        b.next(self, ctx)));
+                    EXPECT_TRUE(std::holds_alternative<ExitAction>(
+                        b.next(self, ctx)));
+                }
+
+                // Same file table: every file, then the next id.
+                const FileId files = 1 + 2 * workers * cfg.filesPerWorker;
+                for (FileId id = 0; id < files; ++id) {
+                    const FileInfo &got = fs.file(id);
+                    const FileInfo &want = refFs.file(id);
+                    EXPECT_EQ(got.name, want.name);
+                    EXPECT_EQ(got.startSector, want.startSector);
+                    EXPECT_EQ(got.sectors, want.sectors);
+                    EXPECT_EQ(got.metadataSector, want.metadataSector);
+                    EXPECT_EQ(got.bytes, want.bytes);
+                }
+                EXPECT_EQ(fs.createExtent("end", 0, 4096), files);
+                EXPECT_EQ(refFs.createExtent("end", 0, 4096), files);
+                // Both builds drew the same number of jitter values.
+                EXPECT_EQ(env.rng.uniformInt(1u << 30),
+                          refEnv.rng.uniformInt(1u << 30));
+            }
+        }
+    }
 }
