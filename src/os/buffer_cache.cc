@@ -1,82 +1,26 @@
 #include "src/os/buffer_cache.hh"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "src/util/log.hh"
 #include "src/util/error.hh"
 
 namespace piso {
 
-std::uint64_t
-BufferCache::hashKey(const BlockKey &key)
+std::uint32_t *
+BufferCache::cellOf(const BlockKey &key)
 {
-    // Mix file and block, then a splitmix64-style finalizer; the low
-    // bits must be well distributed because the table is a power of
-    // two and probing is linear.
-    std::uint64_t x =
-        key.block * 0x9e3779b97f4a7c15ull +
-        (static_cast<std::uint64_t>(
-             static_cast<std::uint32_t>(key.file)) *
-         0xc2b2ae3d27d4eb4full);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-}
-
-std::size_t
-BufferCache::probe(const BlockKey &key) const
-{
-    std::size_t pos = hashKey(key) & indexMask_;
-    while (index_[pos].key.file != kNoFile) {
-        if (index_[pos].key == key)
-            return pos;
-        pos = (pos + 1) & indexMask_;
+    if (key.file != index_.lastFile) {
+        const auto it = index_.rows.find(key.file);
+        if (it == index_.rows.end())
+            return nullptr;
+        index_.lastFile = key.file;
+        index_.lastRow = &it->second;
     }
-    return pos;
-}
-
-void
-BufferCache::ensureIndexCapacity()
-{
-    if (!index_.empty() && (size_ + 1) * 4 <= index_.size() * 3)
-        return;
-
-    const std::size_t newCap = index_.empty() ? 64 : index_.size() * 2;
-    std::vector<IndexEntry> old = std::move(index_);
-    index_.assign(newCap, IndexEntry{});
-    indexMask_ = newCap - 1;
-    for (const IndexEntry &e : old) {
-        if (e.key.file == kNoFile)
-            continue;
-        std::size_t pos = hashKey(e.key) & indexMask_;
-        while (index_[pos].key.file != kNoFile)
-            pos = (pos + 1) & indexMask_;
-        index_[pos] = e;
-    }
-}
-
-void
-BufferCache::eraseIndexAt(std::size_t pos)
-{
-    // Backward-shift deletion: pull displaced entries into the hole so
-    // probe chains never need tombstones.
-    std::size_t hole = pos;
-    std::size_t next = (hole + 1) & indexMask_;
-    while (index_[next].key.file != kNoFile) {
-        const std::size_t home = hashKey(index_[next].key) & indexMask_;
-        // Movable iff its home slot is outside the cyclic range
-        // (hole, next] — i.e. probing from home reaches the hole
-        // before (or at) its current position.
-        if (((next - home) & indexMask_) >= ((next - hole) & indexMask_)) {
-            index_[hole] = index_[next];
-            hole = next;
-        }
-        next = (next + 1) & indexMask_;
-    }
-    index_[hole] = IndexEntry{};
+    Row *row = index_.lastRow;
+    return row && key.block < row->size() ? &(*row)[key.block] : nullptr;
 }
 
 void
@@ -110,22 +54,23 @@ BufferCache::lruPushFront(CacheBlock &blk)
 CacheBlock *
 BufferCache::find(const BlockKey &key)
 {
-    if (index_.empty())
-        return nullptr;
-    const std::size_t pos = probe(key);
-    if (index_[pos].key.file == kNoFile)
-        return nullptr;
-    return &slab_[index_[pos].slot];
+    const std::uint32_t *cell = cellOf(key);
+    return cell && *cell != kNullSlot ? &slab_[*cell] : nullptr;
 }
 
 CacheBlock &
 BufferCache::insert(const BlockKey &key, SpuId owner, bool valid)
 {
-    ensureIndexCapacity();
-    const std::size_t pos = probe(key);
-    PISO_INVARIANT(index_[pos].key.file == kNoFile,
-                   "duplicate cache insert for file ", key.file,
-                   " block ", key.block);
+    PISO_INVARIANT(key.file != kNoFile, "cache insert without a file");
+    std::uint32_t *cell = cellOf(key);
+    if (!cell) {
+        Row &row = index_.rows[key.file];
+        row.resize(std::max<std::uint64_t>(key.block + 1, row.size() * 2),
+                   kNullSlot);
+        cell = &row[key.block];
+    }
+    PISO_INVARIANT(*cell == kNullSlot, "duplicate cache insert for file ",
+                   key.file, " block ", key.block);
 
     std::uint32_t slot;
     if (!freeSlab_.empty()) {
@@ -135,7 +80,7 @@ BufferCache::insert(const BlockKey &key, SpuId owner, bool valid)
         slot = static_cast<std::uint32_t>(slab_.size());
         slab_.emplace_back();
     }
-    index_[pos] = IndexEntry{key, slot};
+    *cell = slot;
 
     CacheBlock &blk = slab_[slot];
     blk.key = key;
@@ -169,14 +114,12 @@ BufferCache::setOwner(CacheBlock &blk, SpuId owner)
 }
 
 void
-BufferCache::remove(const BlockKey &key)
+BufferCache::remove(BlockKey key)
 {
-    PISO_INVARIANT(!index_.empty(), "removing uncached block");
-    const std::size_t pos = probe(key);
-    PISO_INVARIANT(index_[pos].key.file != kNoFile,
-                   "removing uncached block");
+    std::uint32_t *cell = cellOf(key);
+    PISO_INVARIANT(cell && *cell != kNullSlot, "removing uncached block");
 
-    CacheBlock &blk = slab_[index_[pos].slot];
+    CacheBlock &blk = slab_[*cell];
     PISO_INVARIANT(blk.waiters.empty(),
                    "removing a block with waiters");
     PISO_CHECK(blk.key == key,
@@ -187,7 +130,7 @@ BufferCache::remove(const BlockKey &key)
     --perSpu_[blk.owner];
     lruUnlink(blk);
     freeSlab_.push_back(blk.slabIndex);
-    eraseIndexAt(pos);
+    *cell = kNullSlot;
     --size_;
     // Scrub the freed block so slab scans (forEachDirty) skip it.
     blk.key = BlockKey{};
@@ -209,8 +152,7 @@ BufferCache::stealClean(SpuId victim, SpuId &owner)
         if (victim != kNoSpu && blk.owner != victim)
             continue;
         owner = blk.owner;
-        const BlockKey key = blk.key; // remove() scrubs blk.key
-        remove(key);
+        remove(blk.key);
         return true;
     }
     return false;
@@ -285,22 +227,79 @@ BufferCache::hasFlushingBlock() const
 }
 
 void
-BufferCache::postLoad() const
+BufferCache::postLoad()
 {
+    const auto reject = [](const char *what) {
+        throw ConfigError(std::string("checkpoint image rejected: "
+                                      "buffer-cache ") + what);
+    };
+    std::vector<bool> isFree(slab_.size(), false);
     for (std::uint32_t slot : freeSlab_) {
-        if (slot >= slab_.size())
-            throw ConfigError("checkpoint image rejected: buffer-cache "
-                              "free-slab slot out of range");
+        if (slot >= slab_.size() || isFree[slot])
+            reject("free-slab slot out of range or listed twice");
+        isFree[slot] = true;
+        const CacheBlock &blk = slab_[slot];
+        if (blk.key != BlockKey{} || blk.valid || blk.dirty ||
+            blk.owner != kNoSpu)
+            reject("free slot is not scrubbed");
     }
-    for (const IndexEntry &e : index_) {
-        if (e.slot != kNullSlot && e.slot >= slab_.size())
-            throw ConfigError("checkpoint image rejected: buffer-cache "
-                              "index slot out of range");
+
+    // Rebuild the rows from the live slots, counting them as we go.
+    index_ = Index{};
+    std::size_t live = 0;
+    std::size_t dirty = 0;
+    std::uint64_t cells = 0;
+    SpuTable<std::size_t> perSpu = perSpu_;
+    for (std::uint32_t slot = 0; slot < slab_.size(); ++slot) {
+        const CacheBlock &blk = slab_[slot];
+        if (blk.slabIndex != slot)
+            reject("slot index disagrees with its position");
+        if (isFree[slot])
+            continue;
+        if (blk.key.file == kNoFile)
+            reject("live slot has no key");
+        ++live;
+        dirty += blk.dirty ? 1 : 0;
+        std::size_t *owned = perSpu.find(blk.owner);
+        if (!owned || *owned == 0)
+            reject("per-SPU counts disagree with the slab");
+        --*owned;
+
+        Row &row = index_.rows[blk.key.file];
+        if (blk.key.block >= row.size()) {
+            cells += blk.key.block + 1 - row.size();
+            if (blk.key.block >= kMaxIndexedBlocks ||
+                cells > kMaxIndexedBlocks)
+                reject("block numbers exceed the index limit");
+            row.resize(blk.key.block + 1, kNullSlot);
+        }
+        if (std::exchange(row[blk.key.block], slot) != kNullSlot)
+            reject("key cached twice");
     }
-    if (index_.empty() ? indexMask_ != 0
-                       : indexMask_ + 1 != index_.size())
-        throw ConfigError("checkpoint image rejected: buffer-cache "
-                          "index mask disagrees with index size");
+    if (live != size_ || dirty != dirty_)
+        reject("block counts disagree with the slab");
+    for (const auto &[spu, n] : perSpu) {
+        if (n != 0)
+            reject("per-SPU counts disagree with the slab");
+    }
+
+    // The LRU list runs head to tail through every live slot once;
+    // isFree doubles as the visited mark.
+    std::uint32_t prev = kNullSlot;
+    for (std::uint32_t idx = lruHead_; idx != kNullSlot;
+         idx = slab_[idx].lruNext) {
+        if (idx >= slab_.size())
+            reject("LRU link out of range");
+        if (isFree[idx])
+            reject("LRU list revisits or holds a free slot");
+        if (slab_[idx].lruPrev != prev)
+            reject("LRU links disagree");
+        isFree[idx] = true;
+        prev = idx;
+        --live;
+    }
+    if (prev != lruTail_ || live != 0)
+        reject("LRU list does not cover the live blocks");
 }
 
 } // namespace piso

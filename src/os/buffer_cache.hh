@@ -12,16 +12,19 @@
  * Kernel charges/uncharges frames through VirtualMemory and tells the
  * cache what happened; this keeps all memory policy in one place.
  *
- * Storage is an open-addressed hash index (linear probing with
- * backward-shift deletion) over a pointer-stable block slab, with the
- * LRU order kept as an intrusive doubly-linked list of slab indices —
- * lookup and eviction cost no red-black-tree rebalances and no
- * per-node allocations.
+ * Storage is a pointer-stable block slab with the LRU order kept as
+ * an intrusive doubly-linked list of slab indices. Lookup goes through
+ * per-file block rows: each cached file has a vector indexed by block
+ * number holding the block's slab slot, so a probe is one file lookup
+ * (usually the memoised last file) plus one indexed load. The rows
+ * are derived from the slab; images carry only the slab, and restore
+ * rebuilds the rows.
  */
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -99,8 +102,9 @@ class BufferCache
     /** Move @p blk to the front of the LRU list. */
     void touch(CacheBlock &blk);
 
-    /** Remove a block (the caller uncharges the frame). */
-    void remove(const BlockKey &key);
+    /** Remove a block (the caller uncharges the frame). @p key is a
+     *  copy: callers may pass the block's own key, which is scrubbed. */
+    void remove(BlockKey key);
 
     /** Change the charged owner of @p blk (shared-page reclassification;
      *  the caller moves the frame charge in VirtualMemory). */
@@ -151,72 +155,69 @@ class BufferCache
     /// @}
 
     /** @name Checkpoint
-     *  Raw structural serialisation: slab slots, free list, hash
-     *  index and LRU links are written verbatim so that probe order
-     *  and LRU iteration order — both observable through steal and
-     *  flush decisions — restore bit-identically. Images are taken
-     *  only when no block is flushing and no waiters are registered
-     *  (Kernel::ioQuiescent). */
+     *  The slab, free list and LRU links are written verbatim so that
+     *  slot reuse and LRU iteration order — observable through steal
+     *  decisions — restore bit-identically. The per-file rows are not
+     *  imaged: postLoad() rebuilds them from the slab. Images are
+     *  taken only when no block is flushing and no waiters are
+     *  registered (Kernel::ioQuiescent). */
     /// @{
     template <class Ar>
     void
     serialize(Ar &ar)
     {
-        ar(slab_, freeSlab_, index_, indexMask_, lruHead_, lruTail_,
-           size_, dirty_, perSpu_);
+        ar(slab_, freeSlab_, lruHead_, lruTail_, size_, dirty_, perSpu_);
     }
 
-    /** Reject slots and an index mask the restored slab cannot back. */
-    void postLoad() const;
+    /** Check the restored slab, free list, LRU list and counts against
+     *  each other, then rebuild the rows; ConfigError on any
+     *  disagreement. */
+    void postLoad();
     /// @}
 
   private:
     /** Slab index meaning "none" (end of an LRU chain, free entry). */
     static constexpr std::uint32_t kNullSlot = 0xffffffffu;
 
-    /** One hash-table entry; key.file == kNoFile marks it empty. */
-    struct IndexEntry
-    {
-        BlockKey key;
-        std::uint32_t slot = kNullSlot;
+    /** Most block positions a restored image may index, so a crafted
+     *  block number cannot size a huge row (256 MiB of rows). */
+    static constexpr std::uint64_t kMaxIndexedBlocks = std::uint64_t{1}
+                                                       << 26;
 
-        template <class Ar>
-        void
-        serialize(Ar &ar)
-        {
-            ar(key, slot);
-        }
+    /** One file's blocks: row[block] is the slot caching it, or
+     *  kNullSlot. */
+    using Row = std::vector<std::uint32_t>;
+
+    /** The rows (node-based, so a row never moves; rows never shrink
+     *  during a run) and a memo of the last file looked up, since
+     *  kernel loops touch one file's blocks in runs. */
+    struct Index
+    {
+        std::unordered_map<FileId, Row> rows;
+        FileId lastFile = kNoFile;
+        Row *lastRow = nullptr;
     };
 
-    static std::uint64_t hashKey(const BlockKey &key);
+    /** The row cell of @p key, or nullptr when no row reaches it. */
+    std::uint32_t *cellOf(const BlockKey &key);
 
     /** (key, slot) of every dirty, valid, non-flushing block, in
      *  ascending key order. */
     std::vector<std::pair<BlockKey, std::uint32_t>> sortedDirty() const;
-
-    /** Grow (or create) the index so one more insert keeps the load
-     *  factor at or below 3/4. */
-    void ensureIndexCapacity();
-
-    /** Probe for @p key. @return the index position holding it, or the
-     *  first empty position when absent. */
-    std::size_t probe(const BlockKey &key) const;
-
-    /** Backward-shift deletion at index position @p pos. */
-    void eraseIndexAt(std::size_t pos);
 
     void lruUnlink(CacheBlock &blk);
     void lruPushFront(CacheBlock &blk);
 
     std::deque<CacheBlock> slab_;
     std::vector<std::uint32_t> freeSlab_;
-    std::vector<IndexEntry> index_;
-    std::size_t indexMask_ = 0;
     std::uint32_t lruHead_ = kNullSlot;
     std::uint32_t lruTail_ = kNullSlot;
     std::size_t size_ = 0;
     std::size_t dirty_ = 0;
     SpuTable<std::size_t> perSpu_;
+    // piso-lint: allow(checkpoint-field-coverage) -- derived from the
+    // slab; rebuilt by postLoad().
+    Index index_;
 };
 
 } // namespace piso

@@ -2,7 +2,7 @@
  * @file
  * Randomized BufferCache testing against a reference model.
  *
- * The cache's open-addressed index and intrusive LRU list replaced a
+ * The cache's per-file block rows and intrusive LRU list replaced a
  * std::map + std::list pair; this fuzz harness replays random
  * insert / find+touch / dirty / clean / remove / steal / reown
  * sequences against exactly that simple structure and checks every
@@ -16,9 +16,11 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "src/os/buffer_cache.hh"
+#include "src/sim/checkpoint.hh"
 #include "src/sim/random.hh"
 
 using namespace piso;
@@ -89,10 +91,147 @@ constexpr SpuId kSpus[] = {0, 1, 2, 3, 4};
 BlockKey
 randomKey(Rng &rng)
 {
-    // A small key universe so hits, collisions, reinsertion after
-    // removal, and probe-chain shifts all happen constantly.
+    // A small key universe so hits, reinsertion after removal, and
+    // runs of lookups in one file's row all happen constantly.
     return BlockKey{static_cast<FileId>(rng.uniformInt(4)),
                     rng.uniformInt(32)};
+}
+
+/**
+ * One replay step on @p key: the cache and the model must agree on
+ * the key, then both apply the same random operation, then every
+ * aggregate observable must agree (and forEachDirty's order when
+ * @p checkOrder).
+ */
+void
+replayOp(Rng &rng, BufferCache &cache, ModelCache &model,
+         const BlockKey &key, bool checkOrder)
+{
+    CacheBlock *blk = cache.find(key);
+    const auto mit = model.blocks.find(key);
+    ASSERT_EQ(blk != nullptr, mit != model.blocks.end());
+    if (blk) {
+        EXPECT_EQ(blk->key, key);
+        EXPECT_EQ(blk->valid, mit->second.valid);
+        EXPECT_EQ(blk->dirty, mit->second.dirty);
+        EXPECT_EQ(blk->flushing, mit->second.flushing);
+        EXPECT_EQ(blk->owner, mit->second.owner);
+    }
+
+    switch (rng.uniformInt(8)) {
+    case 0:
+    case 1: { // insert on miss, touch on hit
+        if (!blk) {
+            const SpuId owner = kSpus[rng.uniformInt(std::size(kSpus))];
+            const bool valid = rng.chance(0.8);
+            CacheBlock &nb = cache.insert(key, owner, valid);
+            EXPECT_EQ(nb.key, key);
+            EXPECT_EQ(nb.owner, owner);
+            EXPECT_EQ(nb.valid, valid);
+            EXPECT_FALSE(nb.dirty);
+            model.blocks[key] = ModelBlock{valid, false, false, owner};
+            model.lru.push_front(key);
+        } else {
+            cache.touch(*blk);
+            model.touch(key);
+        }
+        break;
+    }
+    case 2: { // dirty a valid block
+        if (blk && blk->valid) {
+            cache.markDirty(*blk);
+            model.blocks[key].dirty = true;
+        }
+        break;
+    }
+    case 3: { // clean (also ends any flush)
+        if (blk) {
+            cache.markClean(*blk);
+            model.blocks[key].dirty = false;
+            model.blocks[key].flushing = false;
+        }
+        break;
+    }
+    case 4: { // start or finish a flush; validate reads
+        if (blk && rng.chance(0.5)) {
+            blk->flushing = !blk->flushing;
+            model.blocks[key].flushing = blk->flushing;
+        } else if (blk && !blk->valid) {
+            cache.markValid(*blk);
+            model.blocks[key].valid = true;
+        }
+        break;
+    }
+    case 5: { // remove
+        if (blk) {
+            cache.remove(key);
+            model.remove(key);
+        }
+        break;
+    }
+    case 6: { // reown (shared-page reclassification)
+        if (blk) {
+            const SpuId owner = kSpus[rng.uniformInt(std::size(kSpus))];
+            cache.setOwner(*blk, owner);
+            model.blocks[key].owner = owner;
+        }
+        break;
+    }
+    default: { // stealClean, sometimes victim-filtered
+        const SpuId victim =
+            rng.chance(0.5) ? kNoSpu
+                            : kSpus[rng.uniformInt(std::size(kSpus))];
+        const BlockKey *want = model.stealCandidate(victim);
+        SpuId owner = kNoSpu;
+        const bool stole = cache.stealClean(victim, owner);
+        ASSERT_EQ(stole, want != nullptr);
+        if (stole) {
+            EXPECT_EQ(owner, model.blocks.at(*want).owner);
+            EXPECT_EQ(cache.find(*want), nullptr);
+            model.remove(*want);
+        }
+        break;
+    }
+    }
+
+    // Aggregate observables agree after every operation.
+    ASSERT_EQ(cache.size(), model.blocks.size());
+    ASSERT_EQ(cache.dirtyCount(), model.dirtyCount());
+    for (SpuId spu : kSpus)
+        ASSERT_EQ(cache.pagesOf(spu), model.pagesOf(spu));
+
+    // forEachDirty: ascending key order over exactly the valid, dirty,
+    // non-flushing set.
+    if (checkOrder) {
+        std::vector<BlockKey> got;
+        cache.forEachDirty([&](CacheBlock &b) {
+            EXPECT_TRUE(b.valid && b.dirty && !b.flushing);
+            got.push_back(b.key);
+        });
+        std::vector<BlockKey> want;
+        for (const auto &[k, b] : model.blocks) {
+            if (b.valid && b.dirty && !b.flushing)
+                want.push_back(k);  // map order == ascending
+        }
+        ASSERT_EQ(got, want);
+    }
+}
+
+/** Steal until nothing qualifies: eviction must proceed in exact LRU
+ *  order over the clean blocks, then stall on the dirty remainder. */
+void
+drainBySteals(BufferCache &cache, ModelCache &model)
+{
+    for (;;) {
+        const BlockKey *want = model.stealCandidate(kNoSpu);
+        SpuId owner = kNoSpu;
+        const bool stole = cache.stealClean(kNoSpu, owner);
+        ASSERT_EQ(stole, want != nullptr);
+        if (!stole)
+            break;
+        model.remove(*want);
+    }
+    ASSERT_EQ(cache.size(), model.blocks.size());
 }
 
 } // namespace
@@ -103,135 +242,63 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
     for (int trial = 0; trial < 10; ++trial) {
         BufferCache cache;
         ModelCache model;
-
         for (int op = 0; op < 2000; ++op) {
-            const BlockKey key = randomKey(rng);
-            CacheBlock *blk = cache.find(key);
-            const auto mit = model.blocks.find(key);
-            ASSERT_EQ(blk != nullptr, mit != model.blocks.end());
-            if (blk) {
+            ASSERT_NO_FATAL_FAILURE(replayOp(rng, cache, model,
+                                             randomKey(rng),
+                                             (op & 63) == 0));
+        }
+        ASSERT_NO_FATAL_FAILURE(drainBySteals(cache, model));
+    }
+}
+
+TEST(BufferCacheProperty, WideKeysSurviveRestore)
+{
+    // Hundreds of files, a few of them with blocks strided out to
+    // ~1e6, so rows grow in jumps and lookups hop between files. Every
+    // few hundred operations the cache goes through a checkpoint image
+    // into a fresh BufferCache and the replay continues on the copy.
+    const auto wideKey = [](Rng &rng) {
+        const auto file = static_cast<FileId>(rng.uniformInt(300));
+        const std::uint64_t stride = file % 64 == 0 ? 125000 : 1 + file;
+        return BlockKey{file, rng.uniformInt(8) * stride};
+    };
+    Rng rng(7);
+    for (int trial = 0; trial < 3; ++trial) {
+        auto cache = std::make_unique<BufferCache>();
+        ModelCache model;
+        for (int op = 1; op <= 6000; ++op) {
+            ASSERT_NO_FATAL_FAILURE(replayOp(rng, *cache, model,
+                                             wideKey(rng),
+                                             op % 300 == 0));
+            if (op % 300 != 0)
+                continue;
+            // Images are taken with no write in flight
+            // (Kernel::ioQuiescent): finish every flush first.
+            for (auto &[key, b] : model.blocks) {
+                if (b.flushing) {
+                    cache->find(key)->flushing = false;
+                    b.flushing = false;
+                }
+            }
+            CkptWriter w;
+            w(*cache);
+            CkptReader r(w.image(0));
+            auto restored = std::make_unique<BufferCache>();
+            r(*restored);
+            r.expectEnd();
+            cache = std::move(restored);
+
+            ASSERT_EQ(cache->size(), model.blocks.size());
+            for (const auto &[key, b] : model.blocks) {
+                const CacheBlock *blk = cache->find(key);
+                ASSERT_NE(blk, nullptr);
                 EXPECT_EQ(blk->key, key);
-                EXPECT_EQ(blk->valid, mit->second.valid);
-                EXPECT_EQ(blk->dirty, mit->second.dirty);
-                EXPECT_EQ(blk->flushing, mit->second.flushing);
-                EXPECT_EQ(blk->owner, mit->second.owner);
-            }
-
-            switch (rng.uniformInt(8)) {
-            case 0:
-            case 1: { // insert on miss, touch on hit
-                if (!blk) {
-                    const SpuId owner =
-                        kSpus[rng.uniformInt(std::size(kSpus))];
-                    const bool valid = rng.chance(0.8);
-                    CacheBlock &nb = cache.insert(key, owner, valid);
-                    EXPECT_EQ(nb.key, key);
-                    EXPECT_EQ(nb.owner, owner);
-                    EXPECT_EQ(nb.valid, valid);
-                    EXPECT_FALSE(nb.dirty);
-                    model.blocks[key] =
-                        ModelBlock{valid, false, false, owner};
-                    model.lru.push_front(key);
-                } else {
-                    cache.touch(*blk);
-                    model.touch(key);
-                }
-                break;
-            }
-            case 2: { // dirty a valid block
-                if (blk && blk->valid) {
-                    cache.markDirty(*blk);
-                    model.blocks[key].dirty = true;
-                }
-                break;
-            }
-            case 3: { // clean (also ends any flush)
-                if (blk) {
-                    cache.markClean(*blk);
-                    model.blocks[key].dirty = false;
-                    model.blocks[key].flushing = false;
-                }
-                break;
-            }
-            case 4: { // start or finish a flush; validate reads
-                if (blk && rng.chance(0.5)) {
-                    blk->flushing = !blk->flushing;
-                    model.blocks[key].flushing = blk->flushing;
-                } else if (blk && !blk->valid) {
-                    cache.markValid(*blk);
-                    model.blocks[key].valid = true;
-                }
-                break;
-            }
-            case 5: { // remove
-                if (blk) {
-                    cache.remove(key);
-                    model.remove(key);
-                }
-                break;
-            }
-            case 6: { // reown (shared-page reclassification)
-                if (blk) {
-                    const SpuId owner =
-                        kSpus[rng.uniformInt(std::size(kSpus))];
-                    cache.setOwner(*blk, owner);
-                    model.blocks[key].owner = owner;
-                }
-                break;
-            }
-            default: { // stealClean, sometimes victim-filtered
-                const SpuId victim =
-                    rng.chance(0.5)
-                        ? kNoSpu
-                        : kSpus[rng.uniformInt(std::size(kSpus))];
-                const BlockKey *want = model.stealCandidate(victim);
-                SpuId owner = kNoSpu;
-                const bool stole = cache.stealClean(victim, owner);
-                ASSERT_EQ(stole, want != nullptr);
-                if (stole) {
-                    EXPECT_EQ(owner, model.blocks.at(*want).owner);
-                    EXPECT_EQ(cache.find(*want), nullptr);
-                    model.remove(*want);
-                }
-                break;
-            }
-            }
-
-            // Aggregate observables agree after every operation.
-            ASSERT_EQ(cache.size(), model.blocks.size());
-            ASSERT_EQ(cache.dirtyCount(), model.dirtyCount());
-            for (SpuId spu : kSpus)
-                ASSERT_EQ(cache.pagesOf(spu), model.pagesOf(spu));
-
-            // forEachDirty: ascending key order over exactly the
-            // valid, dirty, non-flushing set.
-            if ((op & 63) == 0) {
-                std::vector<BlockKey> got;
-                cache.forEachDirty([&](CacheBlock &b) {
-                    EXPECT_TRUE(b.valid && b.dirty && !b.flushing);
-                    got.push_back(b.key);
-                });
-                std::vector<BlockKey> want;
-                for (const auto &[k, b] : model.blocks) {
-                    if (b.valid && b.dirty && !b.flushing)
-                        want.push_back(k);  // map order == ascending
-                }
-                ASSERT_EQ(got, want);
+                EXPECT_EQ(blk->valid, b.valid);
+                EXPECT_EQ(blk->dirty, b.dirty);
+                EXPECT_EQ(blk->owner, b.owner);
             }
         }
-
-        // Drain with steals: eviction must proceed in exact LRU order
-        // over the clean blocks, then stall on the dirty remainder.
-        for (;;) {
-            const BlockKey *want = model.stealCandidate(kNoSpu);
-            SpuId owner = kNoSpu;
-            const bool stole = cache.stealClean(kNoSpu, owner);
-            ASSERT_EQ(stole, want != nullptr);
-            if (!stole)
-                break;
-            model.remove(*want);
-        }
-        ASSERT_EQ(cache.size(), model.blocks.size());
+        ASSERT_NO_FATAL_FAILURE(drainBySteals(*cache, model));
     }
 }
 

@@ -719,9 +719,9 @@ TEST(Checkpoint, ImageLayoutIsPinned)
         std::uint64_t payloadFnv;
     };
     const Pin pins[] = {
-        {"pmake", kPmakeShape, 500 * kMs, 24350u, 0x5ebc0c28dd7856cfull},
-        {"copy", kCopyShape, 50 * kMs, 6345u, 0x4bef8b2191b20154ull}};
-    ASSERT_EQ(kCkptVersion, 1u) << "re-pin the layout for the new version";
+        {"pmake", kPmakeShape, 500 * kMs, 19214u, 0x1aa824f8b3b44ae7ull},
+        {"copy", kCopyShape, 50 * kMs, 5049u, 0xb6855896a47c1a95ull}};
+    ASSERT_EQ(kCkptVersion, 2u) << "re-pin the layout for the new version";
     // Header: magic 8 + version 4 + flags 4 + digest 8 + length 8;
     // trailer: checksum 8.
     constexpr std::size_t kHeader = 32;
