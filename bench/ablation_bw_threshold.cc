@@ -44,7 +44,7 @@ run(DiskPolicy policy, double threshold)
             cfg.memoryBytes = 44 * kMiB;
             cfg.diskCount = 1;
             cfg.scheme = Scheme::PIso;
-            cfg.diskPolicy = policy;
+            cfg.scheme.disk = policy;
             cfg.bwThresholdSectors = threshold;
             cfg.diskParams.seekScale = 0.5;
             cfg.seed = kSeeds[s];

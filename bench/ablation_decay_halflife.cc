@@ -40,7 +40,7 @@ run(Time halfLife)
             cfg.memoryBytes = 44 * kMiB;
             cfg.diskCount = 1;
             cfg.scheme = Scheme::PIso;
-            cfg.diskPolicy = DiskPolicy::FairPosition;
+            cfg.scheme.disk = DiskPolicy::FairPosition;
             cfg.bwHalfLife = halfLife;
             cfg.diskParams.seekScale = 0.5;
             cfg.kernel.writeThrottleSectors = 64 * 1024;

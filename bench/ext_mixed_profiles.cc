@@ -45,7 +45,7 @@ runProfile(const SchemeProfile &profile, std::uint64_t seed)
     cfg.memoryBytes = 16 * kMiB;
     cfg.diskCount = 2;
     cfg.seed = seed;
-    cfg.setProfile(profile);
+    cfg.scheme = profile;
 
     Simulation sim(cfg);
     const SpuId build = sim.addSpu({.name = "build", .homeDisk = 0});
@@ -103,12 +103,12 @@ main()
     printBanner("Extension: mixed profile (PIso CPU + Quota memory) "
                 "vs the uniform schemes");
 
-    SchemeProfile mixed = SchemeProfile::uniform(Scheme::PIso);
+    SchemeProfile mixed = Scheme::PIso;
     mixed.memory = MemoryPolicy::Quota;
 
-    const MixedRun smp = runMean(SchemeProfile::uniform(Scheme::Smp));
-    const MixedRun quo = runMean(SchemeProfile::uniform(Scheme::Quota));
-    const MixedRun piso = runMean(SchemeProfile::uniform(Scheme::PIso));
+    const MixedRun smp = runMean(Scheme::Smp);
+    const MixedRun quo = runMean(Scheme::Quota);
+    const MixedRun piso = runMean(Scheme::PIso);
     const MixedRun mix = runMean(mixed);
 
     TextTable table(

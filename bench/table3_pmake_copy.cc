@@ -41,7 +41,7 @@ runPolicy(DiskPolicy policy, std::uint64_t seed)
     cfg.memoryBytes = 44 * kMiB;
     cfg.diskCount = 1;
     cfg.scheme = Scheme::PIso;
-    cfg.diskPolicy = policy;
+    cfg.scheme.disk = policy;
     cfg.diskParams.seekScale = 0.5;  // the paper's scaling factor 2
     // BW difference threshold calibrated so fairness alternates in
     // long runs (amortised seeks), matching the paper's "latency

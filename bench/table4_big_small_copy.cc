@@ -44,7 +44,7 @@ runPolicy(DiskPolicy policy, std::uint64_t seed)
     cfg.memoryBytes = 44 * kMiB;
     cfg.diskCount = 1;
     cfg.scheme = Scheme::PIso;
-    cfg.diskPolicy = policy;
+    cfg.scheme.disk = policy;
     cfg.diskParams.seekScale = 0.5;
     cfg.bwThresholdSectors = 256.0;
     // Plenty of delayed-write headroom: the copies are paced by their

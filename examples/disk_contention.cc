@@ -33,7 +33,7 @@ run(DiskPolicy policy)
     cfg.memoryBytes = 48 * kMiB;
     cfg.diskCount = 1;
     cfg.scheme = Scheme::PIso;
-    cfg.diskPolicy = policy;
+    cfg.scheme.disk = policy;
     cfg.diskParams.seekScale = 0.5;
     cfg.seed = 3;
 

@@ -1,6 +1,8 @@
 #include "src/config/workload_spec.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "src/util/log.hh"
@@ -60,34 +62,17 @@ class OptionReader
     {
     }
 
-    std::string
-    str(const std::string &key, const std::string &def)
-    {
-        auto it = opts_.find(key);
-        if (it == opts_.end())
-            return def;
-        std::string v = it->second;
-        opts_.erase(it);
-        return v;
-    }
-
     double
     num(const std::string &key, double def)
     {
         auto it = opts_.find(key);
         if (it == opts_.end())
             return def;
-        try {
-            std::size_t pos = 0;
-            const double v = std::stod(it->second, &pos);
-            if (pos != it->second.size())
-                throw std::invalid_argument("trailing");
-            opts_.erase(it);
-            return v;
-        } catch (const std::exception &) {
-            PISO_FATAL("line ", line_, ": option '", key,
-                       "' wants a number, got '", it->second, "'");
-        }
+        const double v = parseNumber(
+            it->second,
+            "line " + std::to_string(line_) + ": option '" + key + "'");
+        opts_.erase(it);
+        return v;
     }
 
     std::int64_t
@@ -112,42 +97,170 @@ class OptionReader
     int line_;
 };
 
-/**
- * Resolve a policy name for @p resource through the PolicyRegistry,
- * reporting unknown names with the offending line and the full list
- * of accepted spellings.
- */
-int
-parsePolicyKey(PolicyResource resource, const char *key,
-               const std::string &s, int line)
+/** One machine key's value, parsed the way its setter asks for it;
+ *  errors name the key and where the value came from. It refers to
+ *  the caller's strings and lives for one setter call. */
+class KeyValue
 {
-    const auto v = PolicyRegistry::instance().tryParse(resource, s);
-    if (!v) {
-        std::string valid;
-        for (const std::string &n :
-             PolicyRegistry::instance().names(resource)) {
-            if (!valid.empty())
-                valid += '|';
-            valid += n;
-        }
-        PISO_FATAL("line ", line, ": unknown ", key, " policy '", s,
-                   "' (", valid, ")");
+  public:
+    KeyValue(const std::string &key, const std::string &text,
+             const std::string &context)
+        : key_(key), text_(text), context_(context)
+    {
     }
-    return *v;
-}
 
-Scheme
-parseSchemeKey(const std::string &s, int line)
+    double number() const { return parseNumber(text_, what()); }
+
+    /** A non-negative integer that fits @p T. */
+    template <class T>
+    T
+    count() const
+    {
+        const double v = number();
+        const double limit =
+            std::ldexp(1.0, std::numeric_limits<T>::digits);
+        if (!(v >= 0.0 && v < limit && v == std::floor(v)))
+            PISO_FATAL(what(), " wants a non-negative integer, got '",
+                       text_, "'");
+        return static_cast<T>(v);
+    }
+
+    /** A name registered for @p resource in the PolicyRegistry. */
+    template <class P>
+    P
+    policy(PolicyResource resource) const
+    {
+        const PolicyRegistry &registry = PolicyRegistry::instance();
+        if (const auto v = registry.tryParse(resource, text_))
+            return static_cast<P>(*v);
+        PISO_FATAL(what(), ": unknown policy '", text_, "' (",
+                   joinNames(registry.names(resource)), ")");
+    }
+
+  private:
+    std::string what() const { return context_ + " '" + key_ + "'"; }
+
+    const std::string &key_;
+    const std::string &text_;
+    const std::string &context_;
+};
+
+/** One machine key: its spelling and how it sets a SystemConfig. */
+struct MachineKey
 {
-    if (s == "smp")
-        return Scheme::Smp;
-    if (s == "quota" || s == "quo")
-        return Scheme::Quota;
-    if (s == "piso")
-        return Scheme::PIso;
-    PISO_FATAL("line ", line, ": unknown scheme '", s,
-               "' (smp|quota|piso)");
-}
+    const char *name;
+    void (*set)(SystemConfig &, const KeyValue &);
+};
+
+/**
+ * The machine keys, shared by the `machine` line and `--grid` axes.
+ * `scheme` comes first: a machine line applies its keys in this
+ * order, so the per-resource policy keys refine the column it picks.
+ */
+const MachineKey kMachineKeys[] = {
+    {kSchemeKey,
+     [](SystemConfig &c, const KeyValue &v) {
+         c.scheme = v.policy<Scheme>(PolicyResource::Scheme);
+     }},
+    {"cpu",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.scheme.cpu = v.policy<CpuPolicy>(PolicyResource::Cpu);
+     }},
+    {"memory",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.scheme.memory =
+             v.policy<MemoryPolicy>(PolicyResource::Memory);
+     }},
+    {"disk_policy",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.scheme.disk = v.policy<DiskPolicy>(PolicyResource::Disk);
+     }},
+    {"network",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.scheme.net = v.policy<NetPolicy>(PolicyResource::Net);
+     }},
+    {"cpus",
+     [](SystemConfig &c, const KeyValue &v) { c.cpus = v.count<int>(); }},
+    {"memory_mb",  // 32 bits of MiB cannot overflow the byte count
+     [](SystemConfig &c, const KeyValue &v) {
+         c.memoryBytes = std::uint64_t{v.count<std::uint32_t>()} * kMiB;
+     }},
+    {"disks",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.diskCount = v.count<int>();
+     }},
+    {"seed",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.seed = v.count<std::uint64_t>();
+     }},
+    {"max_time_s",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.maxTime = fromSeconds(v.number());
+     }},
+    {"network_mbps",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.networkBitsPerSec = v.number() * 1e6;
+     }},
+    {"bw_threshold",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.bwThresholdSectors = v.number();
+     }},
+    {"bw_halflife_ms",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.bwHalfLife = fromMillis(v.number());
+     }},
+    {"seek_scale",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.diskParams.seekScale = v.number();
+     }},
+    {"ipi_revocation",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.ipiRevocation = v.count<int>() != 0;
+     }},
+    {"loan_holdoff_ms",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.loanHoldoff = fromMillis(v.number());
+     }},
+    {"tick_ms",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.tickPeriod = fromMillis(v.number());
+     }},
+    {"slice_ms",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.timeSlice = fromMillis(v.number());
+     }},
+    {"reserve_frac",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.memPolicy.reserveFraction = v.number();
+     }},
+    // NUMA/bus machine model (src/machine/numa.hh). The defaults
+    // describe a uniform-memory machine and add zero cost, so omitting
+    // every key keeps runs byte-identical.
+    {"numa_domains",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.numa.domains = v.count<int>();
+     }},
+    {"numa_local_us",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.numa.localLatency = static_cast<Time>(v.number() * kUs);
+     }},
+    {"numa_remote_us",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.numa.remoteLatency = static_cast<Time>(v.number() * kUs);
+     }},
+    {"bus_mbps",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.numa.busBytesPerSec = v.number() * 1e6 / 8.0;
+     }},
+    {"bus_saturation",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.numa.busSaturation = v.number();
+     }},
+    {"bus_halflife_ms",
+     [](SystemConfig &c, const KeyValue &v) {
+         c.numa.busHalfLife = fromMillis(v.number());
+     }},
+};
 
 /**
  * One directive inside a `[faults]` section. Times are seconds
@@ -263,6 +376,53 @@ parseSpuTreeLine(const std::vector<std::string> &tokens, int lineNo,
 
 } // namespace
 
+double
+parseNumber(const std::string &text, const std::string &what)
+{
+    try {
+        std::size_t pos = 0;
+        const double v = std::stod(text, &pos);
+        if (pos == text.size())
+            return v;
+    } catch (const std::exception &) {
+    }
+    PISO_FATAL(what, " wants a number, got '", text, "'");
+}
+
+std::string
+joinNames(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (const std::string &n : names) {
+        if (!out.empty())
+            out += '|';
+        out += n;
+    }
+    return out;
+}
+
+std::vector<std::string>
+machineKeyNames()
+{
+    std::vector<std::string> out;
+    for (const MachineKey &k : kMachineKeys)
+        out.emplace_back(k.name);
+    return out;
+}
+
+bool
+applyMachineKey(SystemConfig &cfg, const std::string &key,
+                const std::string &value, const std::string &context)
+{
+    for (const MachineKey &k : kMachineKeys) {
+        if (key == k.name) {
+            k.set(cfg, KeyValue(key, value, context));
+            return true;
+        }
+    }
+    return false;
+}
+
 WorkloadSpec
 parseWorkloadSpec(const std::string &text)
 {
@@ -315,66 +475,20 @@ parseWorkloadSpec(const std::string &text)
             if (sawMachine)
                 PISO_FATAL("line ", lineNo, ": duplicate machine line");
             sawMachine = true;
-            OptionReader r(parseOptions(tokens, 1, lineNo), lineNo);
-            spec.config.cpus =
-                static_cast<int>(r.integer("cpus", 8));
-            spec.config.memoryBytes = static_cast<std::uint64_t>(
-                                          r.integer("memory_mb", 64)) *
-                                      kMiB;
-            spec.config.diskCount =
-                static_cast<int>(r.integer("disks", 1));
-            spec.config.scheme =
-                parseSchemeKey(r.str("scheme", "piso"), lineNo);
-            spec.config.diskPolicy = static_cast<DiskPolicy>(
-                parsePolicyKey(PolicyResource::Disk, "disk",
-                               r.str("disk_policy", "default"),
-                               lineNo));
-            // Per-resource overrides on top of the uniform scheme.
-            if (const std::string v = r.str("cpu", ""); !v.empty()) {
-                spec.config.cpuPolicy = static_cast<CpuPolicy>(
-                    parsePolicyKey(PolicyResource::Cpu, "cpu", v,
-                                   lineNo));
+            Options opts = parseOptions(tokens, 1, lineNo);
+            const std::string context =
+                "line " + std::to_string(lineNo) + ": option";
+            for (const MachineKey &k : kMachineKeys) {
+                if (const auto it = opts.find(k.name); it != opts.end()) {
+                    k.set(spec.config, KeyValue(it->first, it->second,
+                                                context));
+                    opts.erase(it);
+                }
             }
-            if (const std::string v = r.str("memory", ""); !v.empty()) {
-                spec.config.memoryPolicy = static_cast<MemoryPolicy>(
-                    parsePolicyKey(PolicyResource::Memory, "memory", v,
-                                   lineNo));
-            }
-            if (const std::string v = r.str("network", "");
-                !v.empty()) {
-                spec.config.netPolicy = static_cast<NetPolicy>(
-                    parsePolicyKey(PolicyResource::Net, "network", v,
-                                   lineNo));
-            }
-            spec.config.seed =
-                static_cast<std::uint64_t>(r.integer("seed", 1));
-            spec.config.maxTime = fromSeconds(
-                r.num("max_time_s", toSeconds(spec.config.maxTime)));
-            spec.config.networkBitsPerSec =
-                r.num("network_mbps", 0.0) * 1e6;
-            spec.config.bwThresholdSectors =
-                r.num("bw_threshold", spec.config.bwThresholdSectors);
-            spec.config.diskParams.seekScale =
-                r.num("seek_scale", 1.0);
-            spec.config.ipiRevocation =
-                r.integer("ipi_revocation", 0) != 0;
-            // NUMA/bus machine model (src/machine/numa.hh). The
-            // defaults describe a uniform-memory machine and add zero
-            // cost, so omitting every key keeps runs byte-identical.
-            spec.config.numa.domains =
-                static_cast<int>(r.integer("numa_domains", 1));
-            spec.config.numa.localLatency =
-                static_cast<Time>(r.num("numa_local_us", 0.0) * kUs);
-            spec.config.numa.remoteLatency =
-                static_cast<Time>(r.num("numa_remote_us", 0.0) * kUs);
-            spec.config.numa.busBytesPerSec =
-                r.num("bus_mbps", 0.0) * 1e6 / 8.0;
-            spec.config.numa.busSaturation =
-                r.num("bus_saturation", 0.0);
-            spec.config.numa.busHalfLife = fromMillis(r.num(
-                "bus_halflife_ms",
-                toSeconds(spec.config.numa.busHalfLife) * 1e3));
-            r.finish();
+            if (!opts.empty())
+                PISO_FATAL("line ", lineNo, ": unknown option '",
+                           opts.begin()->first, "' (",
+                           joinNames(machineKeyNames()), ")");
         } else if (kind == "spu") {
             if (tokens.size() < 2)
                 PISO_FATAL("line ", lineNo, ": spu needs a name");

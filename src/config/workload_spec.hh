@@ -119,6 +119,43 @@ SimResults runWorkloadSpecFrom(const WorkloadSpec &spec,
 /** Build the JobSpec described by @p decl (exposed for testing). */
 JobSpec buildJob(const JobDecl &decl);
 
+/**
+ * @name Machine keys
+ * Every SystemConfig setting that a `machine` line or a
+ * `piso_sweep --grid` axis can name is one {key, setter} entry of a
+ * single table, so the two spellings cannot drift apart.
+ * docs/workload-format.md lists the keys.
+ */
+/// @{
+/** The key that picks a whole Table 2 column. It goes before the
+ *  per-resource policy keys (cpu, memory, disk_policy, network),
+ *  which would otherwise be overwritten by it. */
+inline constexpr const char *kSchemeKey = "scheme";
+
+/** Every machine key, in table order (kSchemeKey first). */
+std::vector<std::string> machineKeyNames();
+
+/**
+ * Set machine key @p key to @p value on @p cfg. @p context says where
+ * the value came from in error messages ("line 3: option", "grid
+ * key").
+ * @return false when @p key is not a machine key.
+ * @throws ConfigError (via PISO_FATAL) when the key rejects @p value:
+ *         not a number, a negative or fractional integer, or an
+ *         unknown policy name (the message lists the valid ones).
+ */
+bool applyMachineKey(SystemConfig &cfg, const std::string &key,
+                     const std::string &value,
+                     const std::string &context);
+
+/** Parse all of @p text as a number; fatal otherwise, naming the
+ *  setting as @p what ("grid key 'cpus'"). */
+double parseNumber(const std::string &text, const std::string &what);
+
+/** @p names joined by '|', as error messages list valid spellings. */
+std::string joinNames(const std::vector<std::string> &names);
+/// @}
+
 } // namespace piso
 
 #endif // PISO_CONFIG_WORKLOAD_SPEC_HH

@@ -23,7 +23,6 @@ enum class DiskPolicy
     HeadPosition,   //!< C-SCAN only — IRIX "Pos"
     BlindFair,      //!< fairness only, ignores the head — "Iso"
     FairPosition,   //!< fairness criterion + head position — "PIso"
-    SchemeDefault,  //!< pick from the Scheme (Smp->Pos, else PIso)
 };
 
 /** Short display name ("SMP", "Quo", "PIso") as used in the paper. */
@@ -52,8 +51,6 @@ diskPolicyName(DiskPolicy p)
         return "Iso";
       case DiskPolicy::FairPosition:
         return "PIso";
-      case DiskPolicy::SchemeDefault:
-        return "default";
     }
     return "?";
 }

@@ -6,19 +6,23 @@
 
 namespace piso {
 
-SchemeProfile
-SchemeProfile::uniform(Scheme scheme)
+SchemeProfile::SchemeProfile(Scheme scheme)
 {
     switch (scheme) {
       case Scheme::Smp:
-        return {CpuPolicy::Smp, MemoryPolicy::Smp,
-                DiskPolicy::HeadPosition, NetPolicy::Smp};
+        cpu = CpuPolicy::Smp;
+        memory = MemoryPolicy::Smp;
+        disk = DiskPolicy::HeadPosition;
+        net = NetPolicy::Smp;
+        return;
       case Scheme::Quota:
-        return {CpuPolicy::Quota, MemoryPolicy::Quota,
-                DiskPolicy::BlindFair, NetPolicy::Quota};
+        cpu = CpuPolicy::Quota;
+        memory = MemoryPolicy::Quota;
+        disk = DiskPolicy::BlindFair;
+        net = NetPolicy::Quota;
+        return;
       case Scheme::PIso:
-        return {CpuPolicy::PIso, MemoryPolicy::PIso,
-                DiskPolicy::FairPosition, NetPolicy::PIso};
+        return;  // the member defaults are Table 2's PIso column
     }
     PISO_PANIC("unknown scheme ", static_cast<int>(scheme));
 }
@@ -27,7 +31,7 @@ std::optional<Scheme>
 SchemeProfile::asUniform() const
 {
     for (Scheme s : {Scheme::Smp, Scheme::Quota, Scheme::PIso}) {
-        if (*this == uniform(s))
+        if (*this == SchemeProfile(s))
             return s;
     }
     return std::nullopt;
@@ -52,6 +56,12 @@ PolicyRegistry::instance()
 
 PolicyRegistry::PolicyRegistry()
 {
+    const auto scheme = [](Scheme s) { return static_cast<int>(s); };
+    add(PolicyResource::Scheme, "smp", scheme(Scheme::Smp), true);
+    add(PolicyResource::Scheme, "quota", scheme(Scheme::Quota), true);
+    add(PolicyResource::Scheme, "quo", scheme(Scheme::Quota), false);
+    add(PolicyResource::Scheme, "piso", scheme(Scheme::PIso), true);
+
     const auto cpu = [](CpuPolicy p) { return static_cast<int>(p); };
     add(PolicyResource::Cpu, "smp", cpu(CpuPolicy::Smp), true);
     add(PolicyResource::Cpu, "quota", cpu(CpuPolicy::Quota), true);
@@ -79,8 +89,6 @@ PolicyRegistry::PolicyRegistry()
         false);
     add(PolicyResource::Disk, "quo", disk(DiskPolicy::BlindFair),
         false);
-    add(PolicyResource::Disk, "default", disk(DiskPolicy::SchemeDefault),
-        true);
 
     const auto net = [](NetPolicy p) { return static_cast<int>(p); };
     add(PolicyResource::Net, "smp", net(NetPolicy::Smp), true);
@@ -133,49 +141,6 @@ PolicyRegistry::names(PolicyResource resource) const
     return out;
 }
 
-namespace {
-
-std::string
-joinNames(PolicyResource resource)
-{
-    std::string out;
-    for (const std::string &n : PolicyRegistry::instance().names(resource)) {
-        if (!out.empty())
-            out += '|';
-        out += n;
-    }
-    return out;
-}
-
-const char *
-resourceLabel(PolicyResource resource)
-{
-    switch (resource) {
-      case PolicyResource::Cpu:
-        return "cpu";
-      case PolicyResource::Memory:
-        return "memory";
-      case PolicyResource::Disk:
-        return "disk";
-      case PolicyResource::Net:
-        return "network";
-    }
-    return "?";
-}
-
-int
-parseOrDie(PolicyResource resource, const std::string &name)
-{
-    const auto v = PolicyRegistry::instance().tryParse(resource, name);
-    if (!v) {
-        PISO_FATAL("unknown ", resourceLabel(resource), " policy '",
-                   name, "' (", joinNames(resource), ")");
-    }
-    return *v;
-}
-
-} // namespace
-
 const char *
 policyName(CpuPolicy p)
 {
@@ -202,44 +167,6 @@ policySpecName(DiskPolicy p)
 {
     return PolicyRegistry::instance().canonicalName(
         PolicyResource::Disk, static_cast<int>(p));
-}
-
-Scheme
-parseScheme(const std::string &name)
-{
-    if (name == "smp")
-        return Scheme::Smp;
-    if (name == "quota" || name == "quo")
-        return Scheme::Quota;
-    if (name == "piso")
-        return Scheme::PIso;
-    PISO_FATAL("unknown scheme '", name, "' (smp|quota|piso)");
-}
-
-CpuPolicy
-parseCpuPolicy(const std::string &name)
-{
-    return static_cast<CpuPolicy>(parseOrDie(PolicyResource::Cpu, name));
-}
-
-MemoryPolicy
-parseMemoryPolicy(const std::string &name)
-{
-    return static_cast<MemoryPolicy>(
-        parseOrDie(PolicyResource::Memory, name));
-}
-
-DiskPolicy
-parseDiskPolicy(const std::string &name)
-{
-    return static_cast<DiskPolicy>(
-        parseOrDie(PolicyResource::Disk, name));
-}
-
-NetPolicy
-parseNetPolicy(const std::string &name)
-{
-    return static_cast<NetPolicy>(parseOrDie(PolicyResource::Net, name));
 }
 
 } // namespace piso

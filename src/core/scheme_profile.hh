@@ -11,7 +11,7 @@
  * schemes tie all of them together. A SchemeProfile unties them: one
  * independently selectable policy per resource, so mixed experiments
  * (PIso CPU with Quota memory, say) are expressible without new code.
- * `SchemeProfile::uniform(Scheme)` reproduces the paper's three
+ * A SchemeProfile built from a Scheme reproduces the paper's three
  * columns exactly.
  *
  * Policy names are resolved through a string-keyed PolicyRegistry so
@@ -56,6 +56,7 @@ enum class NetPolicy
 /** The resource a policy name is being looked up for. */
 enum class PolicyResource
 {
+    Scheme,  //!< a Table 2 column: all four resources at once
     Cpu,
     Memory,
     Disk,
@@ -64,8 +65,8 @@ enum class PolicyResource
 
 /**
  * One independently selectable policy per resource. `disk` reuses the
- * §4.5 DiskPolicy (Pos/Iso/PIso); a resolved profile never holds
- * DiskPolicy::SchemeDefault.
+ * §4.5 DiskPolicy (Pos/Iso/PIso). The default is Table 2's PIso
+ * column.
  */
 struct SchemeProfile
 {
@@ -74,8 +75,11 @@ struct SchemeProfile
     DiskPolicy disk = DiskPolicy::FairPosition;
     NetPolicy net = NetPolicy::PIso;
 
-    /** The profile Table 2's machine-wide @p scheme denotes. */
-    static SchemeProfile uniform(Scheme scheme);
+    SchemeProfile() = default;
+
+    /** The profile Table 2's machine-wide @p scheme denotes. Implicit,
+     *  so `cfg.scheme = Scheme::Smp` picks a whole column. */
+    SchemeProfile(Scheme scheme);
 
     /** The Scheme this profile is the uniform expansion of, if any. */
     std::optional<Scheme> asUniform() const;
@@ -143,15 +147,6 @@ const char *policyName(NetPolicy p);
 /** Lowercase spec spelling of the §4.5 disk policy (unlike
  *  diskPolicyName(), which prints the paper's "Pos"/"Iso"/"PIso"). */
 const char *policySpecName(DiskPolicy p);
-/// @}
-
-/** @name Parsing (fatal on unknown names, listing the valid ones) */
-/// @{
-Scheme parseScheme(const std::string &name);
-CpuPolicy parseCpuPolicy(const std::string &name);
-MemoryPolicy parseMemoryPolicy(const std::string &name);
-DiskPolicy parseDiskPolicy(const std::string &name);
-NetPolicy parseNetPolicy(const std::string &name);
 /// @}
 
 } // namespace piso

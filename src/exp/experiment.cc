@@ -2,90 +2,58 @@
 
 #include <sstream>
 
-#include "src/core/scheme_profile.hh"
 #include "src/util/log.hh"
 
 namespace piso::exp {
 
 namespace {
 
-const char *const kGridKeys =
-    "scheme|cpu|memory|network|disk_policy|cpus|disks|memory_mb|seed|"
-    "max_time_s|network_mbps|bw_threshold|bw_halflife_ms|seek_scale|"
-    "ipi_revocation|loan_holdoff_ms|tick_ms|slice_ms|reserve_frac|"
-    "numa_domains|numa_local_us|numa_remote_us|bus_mbps|"
-    "bus_saturation|bus_halflife_ms|"
-    "fault_disk_slow|fault_disk_error|fault_disk_dead";
-
-double
-toNumber(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return v;
-    } catch (const std::exception &) {
-        PISO_FATAL("grid key '", key, "' wants a number, got '", value,
-                   "'");
-    }
-}
-
-std::int64_t
-toInteger(const std::string &key, const std::string &value)
-{
-    return static_cast<std::int64_t>(toNumber(key, value));
-}
-
-Scheme
-toScheme(const std::string &value)
-{
-    if (value == "smp")
-        return Scheme::Smp;
-    if (value == "quota" || value == "quo")
-        return Scheme::Quota;
-    if (value == "piso")
-        return Scheme::PIso;
-    PISO_FATAL("grid key 'scheme': unknown scheme '", value,
-               "' (smp|quota|piso)");
-}
-
-int
-toPolicy(PolicyResource resource, const std::string &key,
-         const std::string &value)
-{
-    const auto v = PolicyRegistry::instance().tryParse(resource, value);
-    if (!v) {
-        std::string valid;
-        for (const std::string &n :
-             PolicyRegistry::instance().names(resource)) {
-            if (!valid.empty())
-                valid += '|';
-            valid += n;
-        }
-        PISO_FATAL("grid key '", key, "': unknown policy '", value,
-                   "' (", valid, ")");
-    }
-    return *v;
-}
-
 /**
- * Split a colon-separated fault value ("AT:FOR:DISK:FACTOR") into
- * exactly @p want numeric fields.
+ * A grid-only key that adds one fault to the plan. Fault axes append
+ * to the plan's fault schedule, so a grid can sweep what-if failure
+ * scenarios over one base workload. Grid points differing only in
+ * their late faults share the pre-fault prefix, which is exactly what
+ * the warm-start engine checkpoints once per group. The value is
+ * `fields` colon-separated numbers shaped like `shape`, or "none" (no
+ * fault, so an axis can include the undisturbed baseline).
  */
-std::vector<double>
-toFaultFields(const std::string &key, const std::string &value,
-              std::size_t want, const char *shape)
+struct FaultKey
 {
+    const char *name;
+    const char *shape;
+    std::size_t fields;
+    void (*add)(FaultPlan &, const std::vector<double> &);
+};
+
+const FaultKey kFaultKeys[] = {
+    {"fault_disk_slow", "AT_S:FOR_S:DISK:FACTOR", 4,
+     [](FaultPlan &p, const std::vector<double> &f) {
+         p.diskSlow(fromSeconds(f[0]), static_cast<int>(f[2]),
+                    fromSeconds(f[1]), f[3]);
+     }},
+    {"fault_disk_error", "AT_S:FOR_S:DISK:RATE", 4,
+     [](FaultPlan &p, const std::vector<double> &f) {
+         p.diskError(fromSeconds(f[0]), static_cast<int>(f[2]),
+                     fromSeconds(f[1]), f[3]);
+     }},
+    {"fault_disk_dead", "AT_S:DISK", 2,
+     [](FaultPlan &p, const std::vector<double> &f) {
+         p.diskDead(fromSeconds(f[0]), static_cast<int>(f[1]));
+     }},
+};
+
+/** Split @p value into the colon-separated numbers @p key wants. */
+std::vector<double>
+toFaultFields(const FaultKey &key, const std::string &value)
+{
+    const std::string what = std::string("grid key '") + key.name + "'";
     std::vector<double> fields;
     std::istringstream is(value);
     std::string item;
     while (std::getline(is, item, ':'))
-        fields.push_back(toNumber(key, item));
-    if (fields.size() != want)
-        PISO_FATAL("grid key '", key, "' wants ", shape, ", got '",
-                   value, "'");
+        fields.push_back(parseNumber(item, what));
+    if (fields.size() != key.fields)
+        PISO_FATAL(what, " wants ", key.shape, ", got '", value, "'");
     return fields;
 }
 
@@ -107,94 +75,19 @@ void
 applyGridKey(SystemConfig &cfg, const std::string &key,
              const std::string &value)
 {
-    if (key == "scheme") {
-        cfg.scheme = toScheme(value);
-    } else if (key == "cpu") {
-        cfg.cpuPolicy = static_cast<CpuPolicy>(
-            toPolicy(PolicyResource::Cpu, key, value));
-    } else if (key == "memory") {
-        cfg.memoryPolicy = static_cast<MemoryPolicy>(
-            toPolicy(PolicyResource::Memory, key, value));
-    } else if (key == "network") {
-        cfg.netPolicy = static_cast<NetPolicy>(
-            toPolicy(PolicyResource::Net, key, value));
-    } else if (key == "disk_policy") {
-        cfg.diskPolicy = static_cast<DiskPolicy>(
-            toPolicy(PolicyResource::Disk, key, value));
-    } else if (key == "cpus") {
-        cfg.cpus = static_cast<int>(toInteger(key, value));
-    } else if (key == "disks") {
-        cfg.diskCount = static_cast<int>(toInteger(key, value));
-    } else if (key == "memory_mb") {
-        cfg.memoryBytes =
-            static_cast<std::uint64_t>(toInteger(key, value)) * kMiB;
-    } else if (key == "seed") {
-        cfg.seed = static_cast<std::uint64_t>(toInteger(key, value));
-    } else if (key == "max_time_s") {
-        cfg.maxTime = fromSeconds(toNumber(key, value));
-    } else if (key == "network_mbps") {
-        cfg.networkBitsPerSec = toNumber(key, value) * 1e6;
-    } else if (key == "bw_threshold") {
-        cfg.bwThresholdSectors = toNumber(key, value);
-    } else if (key == "bw_halflife_ms") {
-        cfg.bwHalfLife = fromMillis(toNumber(key, value));
-    } else if (key == "seek_scale") {
-        cfg.diskParams.seekScale = toNumber(key, value);
-    } else if (key == "ipi_revocation") {
-        cfg.ipiRevocation = toInteger(key, value) != 0;
-    } else if (key == "loan_holdoff_ms") {
-        cfg.loanHoldoff = fromMillis(toNumber(key, value));
-    } else if (key == "tick_ms") {
-        cfg.tickPeriod = fromMillis(toNumber(key, value));
-    } else if (key == "slice_ms") {
-        cfg.timeSlice = fromMillis(toNumber(key, value));
-    } else if (key == "reserve_frac") {
-        cfg.memPolicy.reserveFraction = toNumber(key, value);
-    } else if (key == "numa_domains") {
-        cfg.numa.domains = static_cast<int>(toInteger(key, value));
-    } else if (key == "numa_local_us") {
-        cfg.numa.localLatency =
-            static_cast<Time>(toNumber(key, value) * kUs);
-    } else if (key == "numa_remote_us") {
-        cfg.numa.remoteLatency =
-            static_cast<Time>(toNumber(key, value) * kUs);
-    } else if (key == "bus_mbps") {
-        cfg.numa.busBytesPerSec = toNumber(key, value) * 1e6 / 8.0;
-    } else if (key == "bus_saturation") {
-        cfg.numa.busSaturation = toNumber(key, value);
-    } else if (key == "bus_halflife_ms") {
-        cfg.numa.busHalfLife = fromMillis(toNumber(key, value));
-    } else if (key == "fault_disk_slow") {
-        // Fault axes append to the plan's fault schedule, so a grid
-        // can sweep what-if failure scenarios over one base workload.
-        // Grid points differing only in their late faults share the
-        // pre-fault prefix, which is exactly what the warm-start
-        // engine checkpoints once per group. "none" = no fault, so an
-        // axis can include the undisturbed baseline.
-        if (value != "none") {
-            const auto f = toFaultFields(key, value, 4,
-                                         "AT_S:FOR_S:DISK:FACTOR");
-            cfg.faults.diskSlow(fromSeconds(f[0]),
-                                static_cast<int>(f[2]),
-                                fromSeconds(f[1]), f[3]);
+    for (const FaultKey &f : kFaultKeys) {
+        if (key == f.name) {
+            if (value != "none")
+                f.add(cfg.faults, toFaultFields(f, value));
+            return;
         }
-    } else if (key == "fault_disk_error") {
-        if (value != "none") {
-            const auto f = toFaultFields(key, value, 4,
-                                         "AT_S:FOR_S:DISK:RATE");
-            cfg.faults.diskError(fromSeconds(f[0]),
-                                 static_cast<int>(f[2]),
-                                 fromSeconds(f[1]), f[3]);
-        }
-    } else if (key == "fault_disk_dead") {
-        if (value != "none") {
-            const auto f = toFaultFields(key, value, 2, "AT_S:DISK");
-            cfg.faults.diskDead(fromSeconds(f[0]),
-                                static_cast<int>(f[1]));
-        }
-    } else {
-        PISO_FATAL("unknown grid key '", key, "' (", kGridKeys, ")");
     }
+    if (applyMachineKey(cfg, key, value, "grid key"))
+        return;
+    std::vector<std::string> keys = machineKeyNames();
+    for (const FaultKey &f : kFaultKeys)
+        keys.emplace_back(f.name);
+    PISO_FATAL("unknown grid key '", key, "' (", joinNames(keys), ")");
 }
 
 GridAxis
@@ -240,11 +133,16 @@ expandPlan(const ExperimentPlan &plan)
             task.index = tasks.size();
             task.seed = seed;
             task.spec = plan.base;
-            for (std::size_t a = 0; a < plan.axes.size(); ++a) {
-                const GridAxis &axis = plan.axes[a];
-                const std::string &value = axis.values[at[a]];
-                applyGridKey(task.spec.config, axis.key, value);
-                task.params.emplace_back(axis.key, value);
+            for (std::size_t a = 0; a < plan.axes.size(); ++a)
+                task.params.emplace_back(plan.axes[a].key,
+                                         plan.axes[a].values[at[a]]);
+            // As on a machine line, `scheme` goes first and the
+            // per-resource policy axes refine the column it picks.
+            for (const bool scheme : {true, false}) {
+                for (const auto &[key, value] : task.params) {
+                    if ((key == kSchemeKey) == scheme)
+                        applyGridKey(task.spec.config, key, value);
+                }
             }
             task.spec.config.seed = seed;
             task.params.emplace_back("seed", std::to_string(seed));

@@ -7,15 +7,14 @@
  * configuration knobs and seeds, expanded into a flat, deterministic
  * task list (the unit of work of the parallel sweep engine).
  *
- * A grid axis is `key=v1,v2,...` using the machine-line spellings of
- * the `.piso` format (scheme, cpu, memory, network, disk_policy,
- * cpus, memory_mb, ...) plus a few engine-only knobs (bw_halflife_ms,
- * loan_holdoff_ms, tick_ms, slice_ms, reserve_frac). Expansion is the
- * cross product in declaration order with seeds varying fastest, so
- * task indices — and therefore JSONL output order — are a pure
- * function of the plan, never of scheduling.
+ * A grid axis is `key=v1,v2,...` naming any machine key of the
+ * `.piso` format (machineKeyNames()) or one of the grid-only
+ * `fault_*` keys. Expansion is the cross product in declaration order
+ * with seeds varying fastest, so task indices — and therefore JSONL
+ * output order — are a pure function of the plan, never of
+ * scheduling.
  *
- * See docs/sweeps.md for the full grid-key table and JSONL schema.
+ * See docs/sweeps.md for the fault keys and JSONL schema.
  */
 
 #include <cstdint>
@@ -60,7 +59,8 @@ struct ExperimentTask
 };
 
 /**
- * Apply one grid assignment to a system config.
+ * Apply one grid assignment to a system config: a `fault_*` key adds
+ * a fault, any other key goes to applyMachineKey().
  * @throws std::runtime_error (via PISO_FATAL) naming the valid keys
  *         on an unknown key or an unparsable value.
  */
@@ -76,7 +76,8 @@ GridAxis parseGridAxis(const std::string &text);
 /**
  * Expand the plan into its task list: the cross product of the axes
  * (declaration order, first axis outermost) and the seeds (innermost,
- * varying fastest). Every task's spec has all assignments applied.
+ * varying fastest). Every task's spec has all assignments applied,
+ * `scheme` axes first and the rest in axis order.
  */
 std::vector<ExperimentTask> expandPlan(const ExperimentPlan &plan);
 

@@ -30,30 +30,6 @@
 
 namespace piso {
 
-void
-SystemConfig::setProfile(const SchemeProfile &p)
-{
-    cpuPolicy = p.cpu;
-    memoryPolicy = p.memory;
-    diskPolicy = p.disk;
-    netPolicy = p.net;
-}
-
-SchemeProfile
-SystemConfig::resolvedProfile() const
-{
-    SchemeProfile p = SchemeProfile::uniform(scheme);
-    if (diskPolicy != DiskPolicy::SchemeDefault)
-        p.disk = diskPolicy;
-    if (cpuPolicy)
-        p.cpu = *cpuPolicy;
-    if (memoryPolicy)
-        p.memory = *memoryPolicy;
-    if (netPolicy)
-        p.net = *netPolicy;
-    return p;
-}
-
 namespace {
 
 /** Serialisable pending-event kinds — the checkpoint's closed set.
@@ -101,7 +77,6 @@ struct EvDesc
 struct Simulation::Impl
 {
     SystemConfig cfg;
-    SchemeProfile profile;
 
     // Trace/log state is per-simulation (snapshotted from the
     // constructing thread's ambient contexts) and re-installed for the
@@ -193,7 +168,7 @@ struct Simulation::Impl
     /// @}
 
     explicit Impl(const SystemConfig &c)
-        : cfg(c), profile(c.resolvedProfile()), trace(traceContext()),
+        : cfg(c), trace(traceContext()),
           log(logContext()), rng(c.seed),
           phys(c.memoryBytes), vm(phys),
           fs(c.diskParams.sectorBytes, 4096, rng.next())
@@ -201,11 +176,10 @@ struct Simulation::Impl
         if (cfg.diskCount < 1)
             PISO_FATAL("the machine needs at least one disk");
 
-        const DiskPolicy policy = profile.disk;
         DiskModel model(cfg.diskParams);
         for (int d = 0; d < cfg.diskCount; ++d) {
             std::unique_ptr<DiskScheduler> dsched;
-            switch (policy) {
+            switch (cfg.scheme.disk) {
               case DiskPolicy::HeadPosition:
                 dsched = std::make_unique<CScanScheduler>();
                 break;
@@ -223,8 +197,6 @@ struct Simulation::Impl
                 dsched = std::move(s);
                 break;
               }
-              case DiskPolicy::SchemeDefault:
-                PISO_PANIC("unresolved disk policy");
             }
             disks.push_back(std::make_unique<DiskDevice>(
                 events, model, std::move(dsched), rng.fork(),
@@ -232,7 +204,7 @@ struct Simulation::Impl
             fs.addDisk(d, model.totalSectors());
         }
 
-        switch (profile.cpu) {
+        switch (cfg.scheme.cpu) {
           case CpuPolicy::Smp:
             sched = std::make_unique<SmpScheduler>(
                 events, cfg.cpus, cfg.tickPeriod, cfg.timeSlice);
@@ -253,7 +225,7 @@ struct Simulation::Impl
         sched->setEagerPolicyLoops(cfg.eagerPolicyLoops);
 
         KernelConfig kc = cfg.kernel;
-        kc.globalReplacement = profile.memory == MemoryPolicy::Smp;
+        kc.globalReplacement = cfg.scheme.memory == MemoryPolicy::Smp;
 
         std::vector<DiskDevice *> diskPtrs;
         for (auto &d : disks)
@@ -264,7 +236,7 @@ struct Simulation::Impl
 
         if (cfg.networkBitsPerSec > 0.0) {
             std::unique_ptr<NetScheduler> nsched;
-            if (profile.net == NetPolicy::Smp) {
+            if (cfg.scheme.net == NetPolicy::Smp) {
                 nsched = std::make_unique<FifoNetScheduler>();
             } else {
                 auto fair =
@@ -282,7 +254,7 @@ struct Simulation::Impl
             kernel->setNuma(numa.get());
         }
 
-        if (profile.memory == MemoryPolicy::PIso) {
+        if (cfg.scheme.memory == MemoryPolicy::PIso) {
             MemPolicyConfig mpc = cfg.memPolicy;
             mpc.eagerRecompute = cfg.eagerPolicyLoops;
             memPolicy = std::make_unique<MemorySharingPolicy>(
@@ -353,7 +325,7 @@ Simulation::Impl::spuParents() const
 void
 Simulation::Impl::rebalance()
 {
-    if (profile.cpu != CpuPolicy::Smp) {
+    if (cfg.scheme.cpu != CpuPolicy::Smp) {
         sched->setSpuParents(spuParents());
         sched->repartitionCpus(spuMgr.cpuShares());
     }
@@ -387,7 +359,7 @@ Simulation::Impl::applyMemoryLevels()
     const auto reserve = static_cast<std::uint64_t>(
         cfg.memPolicy.reserveFraction * static_cast<double>(total));
 
-    switch (profile.memory) {
+    switch (cfg.scheme.memory) {
       case MemoryPolicy::Smp:
         // No per-SPU limits; the pageout daemon keeps the reserve via
         // global replacement.
@@ -548,11 +520,11 @@ Simulation::Impl::setupRun()
 
     // The PIso sharing policy is not started yet: applyMemoryLevels
     // leaves its levels to MemorySharingPolicy::start() below.
-    if (profile.memory != MemoryPolicy::PIso)
+    if (cfg.scheme.memory != MemoryPolicy::PIso)
         applyMemoryLevels();
 
     // --- CPU partition ---------------------------------------------
-    if (profile.cpu != CpuPolicy::Smp) {
+    if (cfg.scheme.cpu != CpuPolicy::Smp) {
         sched->setSpuParents(spuParents());
         sched->partitionCpus(spuMgr.cpuShares());
     }
@@ -793,7 +765,7 @@ Simulation::run()
 
     // --- Collect ------------------------------------------------------
     SimResults res;
-    res.profile = im.profile;
+    res.profile = im.cfg.scheme;
     res.simulatedTime = im.events.now();
     res.completed = im.kernel->liveProcesses() == 0;
     res.kernel = im.kernel->stats();
@@ -906,10 +878,10 @@ Simulation::Impl::configDigest() const
     w.f64(dp.controllerOverheadMs);
     w.f64(dp.seekScale);
 
-    w.u8(static_cast<std::uint8_t>(profile.cpu));
-    w.u8(static_cast<std::uint8_t>(profile.memory));
-    w.u8(static_cast<std::uint8_t>(profile.disk));
-    w.u8(static_cast<std::uint8_t>(profile.net));
+    w.u8(static_cast<std::uint8_t>(cfg.scheme.cpu));
+    w.u8(static_cast<std::uint8_t>(cfg.scheme.memory));
+    w.u8(static_cast<std::uint8_t>(cfg.scheme.disk));
+    w.u8(static_cast<std::uint8_t>(cfg.scheme.net));
     w.f64(cfg.bwThresholdSectors);
     w.time(cfg.bwHalfLife);
     w.f64(cfg.networkBitsPerSec);

@@ -23,7 +23,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,32 +59,13 @@ struct SystemConfig
     NumaConfig numa{};
     /// @}
 
-    /** @name Resource-allocation policies
-     *
-     * `scheme` picks one of Table 2's uniform columns for every
-     * resource at once; the optional per-resource fields override it
-     * individually (see docs/profiles.md). The simulation acts on
-     * resolvedProfile() only.
-     */
+    /** @name Resource-allocation policies */
     /// @{
-    Scheme scheme = Scheme::PIso;
-    DiskPolicy diskPolicy = DiskPolicy::SchemeDefault;
-
-    /** CPU policy override; unset = follow `scheme`. */
-    std::optional<CpuPolicy> cpuPolicy;
-
-    /** Memory policy override; unset = follow `scheme`. */
-    std::optional<MemoryPolicy> memoryPolicy;
-
-    /** Network policy override; unset = follow `scheme`. */
-    std::optional<NetPolicy> netPolicy;
-
-    /** Pin all four per-resource policies at once. */
-    void setProfile(const SchemeProfile &p);
-
-    /** The effective per-resource profile: `scheme` expanded via
-     *  SchemeProfile::uniform(), then the overrides applied. */
-    SchemeProfile resolvedProfile() const;
+    /** One policy per resource (see docs/profiles.md). Assigning a
+     *  Scheme picks one of Table 2's uniform columns for all four
+     *  (`cfg.scheme = Scheme::Smp`); a member sets one resource
+     *  (`cfg.scheme.disk = DiskPolicy::BlindFair`). */
+    SchemeProfile scheme = Scheme::PIso;
 
     /** BW difference threshold of the PIso disk policy (decayed
      *  sectors per unit share). */

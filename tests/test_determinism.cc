@@ -370,4 +370,10 @@ TEST(Determinism, UnknownGridKeyThrows)
                  std::runtime_error);
     EXPECT_THROW(exp::applyGridKey(cfg, "cpus", "many"),
                  std::runtime_error);
+    EXPECT_THROW(exp::applyGridKey(cfg, "memory_mb", "-1"),
+                 std::runtime_error);
+    EXPECT_THROW(exp::applyGridKey(cfg, "cpus", "2.7"),
+                 std::runtime_error);
+    EXPECT_THROW(exp::applyGridKey(cfg, "memory_mb", "5000000000"),
+                 std::runtime_error);
 }

@@ -143,7 +143,7 @@ table3(DiskPolicy policy)
     cfg.memoryBytes = 44 * kMiB;
     cfg.diskCount = 1;
     cfg.scheme = Scheme::PIso;
-    cfg.diskPolicy = policy;
+    cfg.scheme.disk = policy;
     cfg.diskParams.seekScale = 0.5;
     cfg.bwThresholdSectors = 1024.0;
     cfg.seed = kGoldenSeed;

@@ -214,7 +214,7 @@ SimResults
 diskProbe(DiskPolicy policy)
 {
     SystemConfig cfg = machine(Scheme::PIso, 2, 44, 1);
-    cfg.diskPolicy = policy;
+    cfg.scheme.disk = policy;
     cfg.diskParams.seekScale = 0.5;
     Simulation sim(cfg);
     const SpuId a = sim.addSpu({.name = "pmk", .homeDisk = 0});

@@ -165,7 +165,7 @@ runDiskPair(DiskPolicy policy)
     cfg.memoryBytes = 44 * kMiB;
     cfg.diskCount = 1;
     cfg.scheme = Scheme::PIso;
-    cfg.diskPolicy = policy;
+    cfg.scheme.disk = policy;
     cfg.diskParams.seekScale = 0.5;
     cfg.kernel.writeThrottleSectors = 64 * 1024;
     cfg.seed = 1;

@@ -233,7 +233,7 @@ TEST_P(DiskAccountingProp, SectorsConserved)
     cfg.memoryBytes = 32 * kMiB;
     cfg.diskCount = 1;
     cfg.scheme = Scheme::PIso;
-    cfg.diskPolicy = GetParam();
+    cfg.scheme.disk = GetParam();
     cfg.seed = 23;
     Simulation sim(cfg);
     const SpuId a = sim.addSpu({.name = "a", .homeDisk = 0});
@@ -280,7 +280,7 @@ class BwThresholdProp : public ::testing::TestWithParam<double>
         cfg.memoryBytes = 44 * kMiB;
         cfg.diskCount = 1;
         cfg.scheme = Scheme::PIso;
-        cfg.diskPolicy = DiskPolicy::FairPosition;
+        cfg.scheme.disk = DiskPolicy::FairPosition;
         cfg.bwThresholdSectors = threshold;
         cfg.diskParams.seekScale = 0.5;
         cfg.seed = 29;

@@ -75,7 +75,7 @@ TEST(WeightedShares, DiskBandwidthFollowsContract)
     cfg.memoryBytes = 48 * kMiB;
     cfg.diskCount = 1;
     cfg.scheme = Scheme::PIso;
-    cfg.diskPolicy = DiskPolicy::BlindFair;
+    cfg.scheme.disk = DiskPolicy::BlindFair;
     cfg.seed = 3;
     Simulation sim(cfg);
     const SpuId a = sim.addSpu({.name = "a", .share = 1.0, .homeDisk = 0});

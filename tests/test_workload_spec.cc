@@ -58,7 +58,7 @@ job u compute cpu_ms=1
 )");
     EXPECT_EQ(s.config.diskCount, 3);
     EXPECT_EQ(s.config.scheme, Scheme::Quota);
-    EXPECT_EQ(s.config.diskPolicy, DiskPolicy::BlindFair);
+    EXPECT_EQ(s.config.scheme.disk, DiskPolicy::BlindFair);
     EXPECT_EQ(s.config.maxTime, 10 * kSec);
     EXPECT_DOUBLE_EQ(s.config.networkBitsPerSec, 100e6);
     EXPECT_DOUBLE_EQ(s.config.bwThresholdSectors, 512.0);
@@ -106,6 +106,13 @@ TEST(WorkloadSpec, RejectsMalformedInput)
                      "job u compute\n"),
                  std::runtime_error);
     EXPECT_THROW(parseWorkloadSpec("machine cpus=two\nspu u\n"
+                                   "job u compute\n"),
+                 std::runtime_error);
+    // Integer machine keys take non-negative whole numbers only.
+    EXPECT_THROW(parseWorkloadSpec("machine memory_mb=-1\nspu u\n"
+                                   "job u compute\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseWorkloadSpec("machine cpus=2.7\nspu u\n"
                                    "job u compute\n"),
                  std::runtime_error);
     EXPECT_THROW(parseWorkloadSpec(""), std::runtime_error);

@@ -210,10 +210,10 @@ main(int argc, char **argv)
                             formatResultsJson(r, true).c_str());
                 return 0;
             }
-            const SchemeProfile profile = spec.config.resolvedProfile();
+            const SchemeProfile &profile = spec.config.scheme;
+            const auto uniform = profile.asUniform();
             printBanner(std::string("piso_run: ") + path + " (" +
-                        (profile.mixed() ? profile.str()
-                                         : schemeName(spec.config.scheme)) +
+                        (uniform ? schemeName(*uniform) : profile.str()) +
                         ")");
             std::fputs(formatResults(r, true).c_str(), stdout);
             return 0;
@@ -224,16 +224,13 @@ main(int argc, char **argv)
         // next to the three uniform schemes. All variants run in
         // parallel on the sweep engine's pool (each Simulation is
         // self-contained; see src/exp/pool.hh).
-        const SchemeProfile specProfile = spec.config.resolvedProfile();
+        const SchemeProfile &specProfile = spec.config.scheme;
         const bool mixedColumn = specProfile.mixed();
         std::vector<WorkloadSpec> variants;
         for (Scheme s :
              {Scheme::Smp, Scheme::Quota, Scheme::PIso}) {
             WorkloadSpec uniform = spec;
             uniform.config.scheme = s;
-            uniform.config.cpuPolicy.reset();
-            uniform.config.memoryPolicy.reset();
-            uniform.config.netPolicy.reset();
             variants.push_back(std::move(uniform));
         }
         if (mixedColumn)

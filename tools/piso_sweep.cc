@@ -47,6 +47,23 @@ readFile(const char *path)
     return os.str();
 }
 
+/** The machine keys, comma-separated in lines under --grid's text. */
+std::string
+machineKeyLines()
+{
+    const std::string indent(24, ' ');
+    std::string out;
+    std::string line = indent;
+    for (const std::string &key : machineKeyNames()) {
+        if (line.size() + key.size() + 1 > 78) {
+            out += line + '\n';
+            line = indent;
+        }
+        line += key + ',';
+    }
+    return out + line + '\n';
+}
+
 void
 usage(std::FILE *to)
 {
@@ -62,14 +79,9 @@ usage(std::FILE *to)
         "<workload-file>\n"
         "  --grid key=v1,v2,...  sweep axis (repeatable; cross "
         "product).\n"
-        "                        keys: scheme,cpu,memory,network,"
-        "disk_policy,cpus,\n"
-        "                        disks,memory_mb,seed,max_time_s,"
-        "network_mbps,\n"
-        "                        bw_threshold,bw_halflife_ms,"
-        "seek_scale,ipi_revocation,\n"
-        "                        loan_holdoff_ms,tick_ms,slice_ms,"
-        "reserve_frac,\n"
+        "                        keys: every machine key of the "
+        "workload format,\n"
+        "%s"
         "                        fault_disk_slow (AT_S:FOR_S:DISK:"
         "FACTOR or none),\n"
         "                        fault_disk_error (AT_S:FOR_S:DISK:"
@@ -115,7 +127,8 @@ usage(std::FILE *to)
         "value. Failed\n"
         "tasks carry {\"status\",\"error\"} instead of results, plus "
         "one trailing\n"
-        "{\"summary\"} line when anything failed.\n");
+        "{\"summary\"} line when anything failed.\n",
+        machineKeyLines().c_str());
 }
 
 int
