@@ -1,8 +1,6 @@
 #include "src/config/workload_spec.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "src/util/log.hh"
@@ -65,21 +63,15 @@ class OptionReader
     double
     num(const std::string &key, double def)
     {
-        auto it = opts_.find(key);
-        if (it == opts_.end())
-            return def;
-        const double v = parseNumber(
-            it->second,
-            "line " + std::to_string(line_) + ": option '" + key + "'");
-        opts_.erase(it);
-        return v;
+        return take(key, def, parseNumber);
     }
 
-    std::int64_t
-    integer(const std::string &key, std::int64_t def)
+    /** A non-negative integer option that fits @p T. */
+    template <class T>
+    T
+    count(const std::string &key, T def)
     {
-        const double v = num(key, static_cast<double>(def));
-        return static_cast<std::int64_t>(v);
+        return take(key, def, parseCount<T>);
     }
 
     /** All options must have been consumed. */
@@ -93,6 +85,21 @@ class OptionReader
     }
 
   private:
+    /** Parse and consume @p key, or return @p def when absent. */
+    template <class T>
+    T
+    take(const std::string &key, T def,
+         T (*parse)(const std::string &, const std::string &))
+    {
+        auto it = opts_.find(key);
+        if (it == opts_.end())
+            return def;
+        const T v = parse(it->second, "line " + std::to_string(line_) +
+                                          ": option '" + key + "'");
+        opts_.erase(it);
+        return v;
+    }
+
     Options opts_;
     int line_;
 };
@@ -116,13 +123,7 @@ class KeyValue
     T
     count() const
     {
-        const double v = number();
-        const double limit =
-            std::ldexp(1.0, std::numeric_limits<T>::digits);
-        if (!(v >= 0.0 && v < limit && v == std::floor(v)))
-            PISO_FATAL(what(), " wants a non-negative integer, got '",
-                       text_, "'");
-        return static_cast<T>(v);
+        return parseCount<T>(text_, what());
     }
 
     /** A name registered for @p resource in the PolicyRegistry. */
@@ -279,7 +280,7 @@ parseFaultLine(const std::vector<std::string> &tokens, int lineNo,
     const Time at = fromSeconds(atSec);
 
     if (kind == "disk_slow") {
-        const int disk = static_cast<int>(r.integer("disk", 0));
+        const int disk = r.count<int>("disk", 0);
         const Time dur = fromSeconds(r.num("for_s", 0.0));
         const double factor = r.num("factor", 4.0);
         if (factor < 1.0)
@@ -287,7 +288,7 @@ parseFaultLine(const std::vector<std::string> &tokens, int lineNo,
                        ">= 1, got ", factor);
         plan.diskSlow(at, disk, dur, factor);
     } else if (kind == "disk_error") {
-        const int disk = static_cast<int>(r.integer("disk", 0));
+        const int disk = r.count<int>("disk", 0);
         const Time dur = fromSeconds(r.num("for_s", 0.0));
         const double rate = r.num("rate", 0.5);
         if (rate < 0.0 || rate > 1.0)
@@ -295,26 +296,25 @@ parseFaultLine(const std::vector<std::string> &tokens, int lineNo,
                        "[0,1], got ", rate);
         plan.diskError(at, disk, dur, rate);
     } else if (kind == "disk_dead") {
-        plan.diskDead(at, static_cast<int>(r.integer("disk", 0)));
+        plan.diskDead(at, r.count<int>("disk", 0));
     } else if (kind == "cpu_offline") {
-        const int count = static_cast<int>(r.integer("count", 1));
+        const int count = r.count<int>("count", 1);
         if (count < 1)
             PISO_FATAL("line ", lineNo,
                        ": cpu_offline count must be >= 1");
         plan.cpuOffline(at, count);
     } else if (kind == "cpu_online") {
-        const int count = static_cast<int>(r.integer("count", 1));
+        const int count = r.count<int>("count", 1);
         if (count < 1)
             PISO_FATAL("line ", lineNo,
                        ": cpu_online count must be >= 1");
         plan.cpuOnline(at, count);
     } else if (kind == "mem_shrink" || kind == "mem_grow") {
-        const std::int64_t mb = r.integer("mb", 0);
-        if (mb <= 0)
+        const std::uint32_t mb = r.count<std::uint32_t>("mb", 0);
+        if (mb == 0)
             PISO_FATAL("line ", lineNo, ": ", kind,
                        " needs mb=<MiB> > 0");
-        const std::uint64_t pages =
-            static_cast<std::uint64_t>(mb) * kMiB / 4096;
+        const std::uint64_t pages = std::uint64_t{mb} * kMiB / 4096;
         if (kind == "mem_shrink")
             plan.memShrink(at, pages);
         else
@@ -353,7 +353,7 @@ parseSpuTreeLine(const std::vector<std::string> &tokens, int lineNo,
     }
     OptionReader r(parseOptions(tokens, 1, lineNo), lineNo);
     s.share = r.num("share", 1.0);
-    s.disk = static_cast<DiskId>(r.integer("disk", 0));
+    s.disk = r.count<DiskId>("disk", 0);
     r.finish();
 
     const auto dot = s.name.rfind('.');
@@ -500,7 +500,7 @@ parseWorkloadSpec(const std::string &text)
                            "[spus] section");
             OptionReader r(parseOptions(tokens, 2, lineNo), lineNo);
             s.share = r.num("share", 1.0);
-            s.disk = static_cast<DiskId>(r.integer("disk", 0));
+            s.disk = r.count<DiskId>("disk", 0);
             r.finish();
             for (const SpuDecl &other : spec.spus) {
                 if (other.name == s.name)
@@ -571,53 +571,47 @@ buildJob(const JobDecl &decl)
 
     if (decl.kind == "pmake") {
         PmakeConfig c;
-        c.parallelism = static_cast<int>(r.integer("workers", 2));
-        c.filesPerWorker = static_cast<int>(r.integer("files", 12));
+        c.parallelism = r.count<int>("workers", 2);
+        c.filesPerWorker = r.count<int>("files", 12);
         c.compileCpu = fromMillis(r.num("compile_ms", 120.0));
-        c.workerWsPages = static_cast<std::uint64_t>(
-            r.integer("ws_pages", 600));
+        c.workerWsPages = r.count<std::uint32_t>("ws_pages", 600);
         job = makePmake(decl.name, c);
     } else if (decl.kind == "copy") {
         FileCopyConfig c;
-        c.bytes = static_cast<std::uint64_t>(
-                      r.integer("bytes_kb", 20 * 1024)) *
-                  1024;
+        c.bytes = std::uint64_t{r.count<std::uint32_t>("bytes_kb",
+                                                       20 * 1024)} *
+                  kKiB;
         job = makeFileCopy(decl.name, c);
     } else if (decl.kind == "compute") {
         ComputeSpec c;
         c.totalCpu = fromMillis(r.num("cpu_ms", 1000.0));
-        c.wsPages = static_cast<std::uint64_t>(
-            r.integer("ws_pages", 256));
+        c.wsPages = r.count<std::uint32_t>("ws_pages", 256);
         job = makeComputeJob(decl.name, c);
     } else if (decl.kind == "ocean") {
         OceanConfig c;
-        c.processes = static_cast<int>(r.integer("procs", 4));
-        c.iterations = static_cast<int>(r.integer("iters", 400));
+        c.processes = r.count<int>("procs", 4);
+        c.iterations = r.count<int>("iters", 400);
         c.grain = fromMillis(r.num("grain_ms", 20.0));
-        c.wsPagesPerProc = static_cast<std::uint64_t>(
-            r.integer("ws_pages", 512));
+        c.wsPagesPerProc = r.count<std::uint32_t>("ws_pages", 512);
         job = makeOcean(decl.name, c);
     } else if (decl.kind == "oltp") {
         OltpConfig c;
-        c.servers = static_cast<int>(r.integer("servers", 4));
-        c.transactionsPerServer =
-            static_cast<int>(r.integer("txns", 100));
+        c.servers = r.count<int>("servers", 4);
+        c.transactionsPerServer = r.count<int>("txns", 100);
         c.txnCpu = fromMillis(r.num("txn_ms", 2.0));
         c.updateFraction = r.num("update_frac", 0.3);
-        c.tableBytes = static_cast<std::uint64_t>(
-                           r.integer("table_mb", 64)) *
-                       kMiB;
+        c.tableBytes =
+            std::uint64_t{r.count<std::uint32_t>("table_mb", 64)} * kMiB;
         job = makeOltp(decl.name, c);
     } else if (decl.kind == "web") {
         WebServerConfig c;
-        c.workers = static_cast<int>(r.integer("workers", 4));
-        c.requestsPerWorker =
-            static_cast<int>(r.integer("requests", 200));
+        c.workers = r.count<int>("workers", 4);
+        c.requestsPerWorker = r.count<int>("requests", 200);
         c.requestCpu = fromMillis(r.num("request_ms", 0.5));
-        c.responseBytes = static_cast<std::uint64_t>(
-                              r.integer("response_kb", 16)) *
-                          1024;
-        c.documents = static_cast<int>(r.integer("documents", 200));
+        c.responseBytes =
+            std::uint64_t{r.count<std::uint32_t>("response_kb", 16)} *
+            kKiB;
+        c.documents = r.count<int>("documents", 200);
         job = makeWebServer(decl.name, c);
     } else {
         PISO_FATAL("line ", decl.line, ": unknown job kind '",

@@ -49,12 +49,15 @@
  * semantics are described in docs/faults.md.
  */
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/metrics/results.hh"
 #include "src/simulation.hh"
+#include "src/util/log.hh"
 
 namespace piso {
 
@@ -151,6 +154,21 @@ bool applyMachineKey(SystemConfig &cfg, const std::string &key,
 /** Parse all of @p text as a number; fatal otherwise, naming the
  *  setting as @p what ("grid key 'cpus'"). */
 double parseNumber(const std::string &text, const std::string &what);
+
+/** Parse all of @p text as a non-negative integer that fits @p T;
+ *  fatal otherwise (negative, fractional or too large), naming the
+ *  setting as @p what. */
+template <class T>
+T
+parseCount(const std::string &text, const std::string &what)
+{
+    const double v = parseNumber(text, what);
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!(v >= 0.0 && v < limit && v == std::floor(v)))
+        PISO_FATAL(what, " wants a non-negative integer, got '", text,
+                   "'");
+    return static_cast<T>(v);
+}
 
 /** @p names joined by '|', as error messages list valid spellings. */
 std::string joinNames(const std::vector<std::string> &names);

@@ -22,21 +22,22 @@ struct FaultKey
     const char *name;
     const char *shape;
     std::size_t fields;
+    std::size_t diskField;  //!< index of the DISK field
     void (*add)(FaultPlan &, const std::vector<double> &);
 };
 
 const FaultKey kFaultKeys[] = {
-    {"fault_disk_slow", "AT_S:FOR_S:DISK:FACTOR", 4,
+    {"fault_disk_slow", "AT_S:FOR_S:DISK:FACTOR", 4, 2,
      [](FaultPlan &p, const std::vector<double> &f) {
          p.diskSlow(fromSeconds(f[0]), static_cast<int>(f[2]),
                     fromSeconds(f[1]), f[3]);
      }},
-    {"fault_disk_error", "AT_S:FOR_S:DISK:RATE", 4,
+    {"fault_disk_error", "AT_S:FOR_S:DISK:RATE", 4, 2,
      [](FaultPlan &p, const std::vector<double> &f) {
          p.diskError(fromSeconds(f[0]), static_cast<int>(f[2]),
                      fromSeconds(f[1]), f[3]);
      }},
-    {"fault_disk_dead", "AT_S:DISK", 2,
+    {"fault_disk_dead", "AT_S:DISK", 2, 1,
      [](FaultPlan &p, const std::vector<double> &f) {
          p.diskDead(fromSeconds(f[0]), static_cast<int>(f[1]));
      }},
@@ -50,8 +51,11 @@ toFaultFields(const FaultKey &key, const std::string &value)
     std::vector<double> fields;
     std::istringstream is(value);
     std::string item;
-    while (std::getline(is, item, ':'))
-        fields.push_back(parseNumber(item, what));
+    while (std::getline(is, item, ':')) {
+        fields.push_back(fields.size() == key.diskField
+                             ? parseCount<int>(item, what)
+                             : parseNumber(item, what));
+    }
     if (fields.size() != key.fields)
         PISO_FATAL(what, " wants ", key.shape, ", got '", value, "'");
     return fields;

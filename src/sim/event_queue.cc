@@ -5,60 +5,46 @@
 
 namespace piso {
 
+std::uint32_t
+EventQueue::growSlab()
+{
+    const auto idx = static_cast<std::uint32_t>(state_.size());
+    if ((idx & kChunkMask) == 0)
+        chunks_.push_back(std::make_unique<Slot[]>(kChunkMask + 1));
+    state_.push_back(packState(0, false));
+    heap_.addSlot();
+    return idx;
+}
+
 EventId
-EventQueue::schedule(Time when, Callback cb, const char *name)
+EventQueue::enqueue(std::uint32_t idx, Time when, std::uint64_t seq,
+                    const char *name)
 {
     PISO_INVARIANT(when >= now_, "event '", name,
                    "' scheduled in the past (", formatTime(when),
                    " < now=", formatTime(now_), ")");
-    PISO_INVARIANT(cb, "event '", name,
-                   "' scheduled with empty callback");
-
-    std::uint32_t idx;
-    if (!freeSlots_.empty()) {
-        idx = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        idx = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-        state_.push_back(packState(0, false));
-    }
-    Slot &slot = slots_[idx];
-    slot.cb = std::move(cb);
-    slot.name = name;
+    slot(idx).name = name;
     const std::uint32_t gen = state_[idx] >> 1;
     state_[idx] = packState(gen, true);
-
-    heap_.push(HeapEntry{when, nextSeq_++, idx, gen});
-    ++live_;
+    heap_.push(HeapEntry{when, seq, idx});
     return makeId(idx, gen);
+}
+
+EventId
+EventQueue::schedule(Time when, Callback cb, const char *name)
+{
+    return scheduleRestored(when, nextSeq_++, std::move(cb), name);
 }
 
 EventId
 EventQueue::scheduleRestored(Time when, std::uint64_t seq, Callback cb,
                              const char *name)
 {
-    PISO_INVARIANT(cb, "restored event '", name,
-                   "' re-bound with empty callback");
-
-    std::uint32_t idx;
-    if (!freeSlots_.empty()) {
-        idx = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        idx = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-        state_.push_back(packState(0, false));
-    }
-    Slot &slot = slots_[idx];
-    slot.cb = std::move(cb);
-    slot.name = name;
-    const std::uint32_t gen = state_[idx] >> 1;
-    state_[idx] = packState(gen, true);
-
-    heap_.push(HeapEntry{when, seq, idx, gen});
-    ++live_;
-    return makeId(idx, gen);
+    PISO_INVARIANT(cb, "event '", name,
+                   "' scheduled with empty callback");
+    const std::uint32_t idx = takeSlot();
+    slot(idx).cb = std::move(cb);
+    return enqueue(idx, when, seq, name);
 }
 
 void
@@ -66,12 +52,12 @@ EventQueue::clearPending()
 {
     for (std::uint32_t idx = 0; idx < state_.size(); ++idx) {
         if (state_[idx] & 1u) {
-            slots_[idx].cb.reset();
+            slot(idx).cb.reset();
             state_[idx] = packState((state_[idx] >> 1) + 1, false);
             freeSlots_.push_back(idx);
         }
     }
-    live_ = 0;
+    heap_.clear();
 }
 
 void
@@ -106,63 +92,45 @@ EventQueue::cancel(EventId id)
         state_[idx] != packState(genOf(id), true))
         return false;
 
-    // Free the slot now; the heap entry goes stale (its generation no
-    // longer matches) and is discarded when it reaches the head.
-    slots_[idx].cb.reset();
+    PISO_CHECK(heap_.holds(idx), "cancelled event's heap entry is not ",
+               "where the position index says (slot ", idx, ")");
+    heap_.erase(idx);
+    slot(idx).cb.reset();
     state_[idx] = packState(genOf(id) + 1, false);
     freeSlots_.push_back(idx);
-    --live_;
     return true;
-}
-
-void
-EventQueue::skipStale() const
-{
-    while (!heap_.empty()) {
-        const HeapEntry &top = heap_.top();
-        if (state_[top.slot] == packState(top.gen, true))
-            break;
-        heap_.pop();
-    }
-}
-
-Time
-EventQueue::nextEventTime() const
-{
-    skipStale();
-    return heap_.empty() ? kTimeNever : heap_.top().when;
 }
 
 void
 EventQueue::popAndRun()
 {
     const HeapEntry entry = heap_.top();
-    heap_.pop();
-    PISO_CHECK(entry.slot < slots_.size(),
+    PISO_CHECK(entry.slot < state_.size(),
                "event heap entry points past the slab (slot ",
-               entry.slot, " of ", slots_.size(), ")");
-    PISO_CHECK(state_[entry.slot] == packState(entry.gen, true),
-               "live heap entry with a stale slot generation");
+               entry.slot, " of ", state_.size(), ")");
+    PISO_CHECK(heap_.holds(entry.slot), "head event's position index ",
+               "is out of step (slot ", entry.slot, ")");
+    PISO_CHECK(state_[entry.slot] & 1u,
+               "heap entry for a retired slot (slot ", entry.slot, ")");
+    heap_.pop();
 
     // Retire the event before invoking so the callback may freely
     // schedule and cancel other events: the state bump makes cancel()
     // on the firing id a no-op, and the slot joins the free list only
     // after the callback finishes, so it cannot be reused (and the
-    // deque keeps the in-place callable stable) while it runs.
-    Slot &slot = slots_[entry.slot];
-    state_[entry.slot] = packState(entry.gen + 1, false);
-    --live_;
+    // chunked slab keeps the in-place callable stable) while it runs.
+    Slot &s = slot(entry.slot);
+    state_[entry.slot] = packState((state_[entry.slot] >> 1) + 1, false);
     ++executed_;
 
     now_ = entry.when;
-    slot.cb.invokeAndReset();
+    s.cb.invokeAndReset();
     freeSlots_.push_back(entry.slot);
 }
 
 bool
 EventQueue::runOne()
 {
-    skipStale();
     if (heap_.empty())
         return false;
     popAndRun();
@@ -173,10 +141,7 @@ std::size_t
 EventQueue::runAll(Time limit)
 {
     std::size_t count = 0;
-    for (;;) {
-        skipStale();
-        if (heap_.empty() || heap_.top().when > limit)
-            break;
+    while (!heap_.empty() && heap_.top().when <= limit) {
         popAndRun();
         ++count;
     }

@@ -12,16 +12,17 @@
  *
  * Internally the queue is a generation-counted slab: each scheduled
  * event occupies a reusable slot, and an EventId encodes
- * (slot, generation) so cancel() and pendingEvent() are O(1) array
- * probes with no hashing. The binary heap holds small POD entries;
- * callbacks live in the slab behind a small-buffer wrapper so the
- * common capture sizes ([this], [this, ptr], [this, id, time]) never
- * touch the allocator.
+ * (slot, generation) so pendingEvent() is an O(1) array probe with no
+ * hashing. An indexed 4-ary heap of small POD entries orders the live
+ * events and knows each slot's position, so cancel() removes its entry
+ * at once. Callbacks are built in place in the slab behind a
+ * small-buffer wrapper, so the common capture sizes ([this],
+ * [this, ptr], [this, id, time]) never touch the allocator.
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -41,6 +42,14 @@ using EventId = std::uint64_t;
 /** EventId value meaning "no event". */
 inline constexpr EventId kNoEvent = 0;
 
+class EventCallback;
+
+/** True for a callable an EventCallback can wrap (but not one itself). */
+template <typename F>
+inline constexpr bool kIsEventCallable =
+    !std::is_same_v<std::decay_t<F>, EventCallback> &&
+    std::is_invocable_r_v<void, std::decay_t<F> &>;
+
 /**
  * Move-only callable wrapper with a small-buffer optimisation sized
  * for event-loop lambdas. Captures up to kInlineSize bytes are stored
@@ -52,11 +61,19 @@ class EventCallback
     EventCallback() = default;
 
     template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventCallback> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+              typename = std::enable_if_t<kIsEventCallable<F>>>
     EventCallback(F &&f) // NOLINT: implicit like std::function
     {
+        emplace(std::forward<F>(f));
+    }
+
+    /** Build @p f in place, replacing any held callable. */
+    template <typename F,
+              typename = std::enable_if_t<kIsEventCallable<F>>>
+    void
+    emplace(F &&f)
+    {
+        reset();
         using Fn = std::decay_t<F>;
         if constexpr (sizeof(Fn) <= kInlineSize &&
                       alignof(Fn) <= alignof(std::max_align_t) &&
@@ -217,11 +234,11 @@ class EventCallback
 /**
  * A deterministic, cancellable discrete-event queue.
  *
- * Ordering is (time, scheduling sequence number). Cancellation frees
- * the slab slot immediately (destroying the callback) and bumps the
- * slot's generation; the matching heap entry becomes stale and is
- * discarded when it reaches the head, keeping cancel() O(1) and pop()
- * amortised O(log n).
+ * Ordering is (time, scheduling sequence number). The heap holds only
+ * live events: cancel() frees the slab slot (destroying the callback),
+ * bumps the slot's generation and removes the slot's heap entry at
+ * once, in O(log live). A pop therefore never meets a cancelled entry,
+ * and nextEventTime() is a plain read of the head.
  */
 class EventQueue
 {
@@ -236,20 +253,33 @@ class EventQueue
     Time now() const { return now_; }
 
     /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule @p fn to run at absolute time @p when. The callable is
+     * built directly in its slab slot.
      * @param when Absolute firing time; must be >= now().
-     * @param cb   Callback executed when the event fires.
+     * @param fn   Callable executed when the event fires.
      * @param name Optional label used in debug traces; must point at
      *             storage outliving the event (string literals do).
      * @return Handle usable with cancel().
      */
+    template <typename F,
+              typename = std::enable_if_t<kIsEventCallable<F>>>
+    EventId
+    schedule(Time when, F &&fn, const char *name = "")
+    {
+        const std::uint32_t idx = takeSlot();
+        slot(idx).cb.emplace(std::forward<F>(fn));
+        return enqueue(idx, when, nextSeq_++, name);
+    }
+
+    /** Schedule an already-wrapped callback (moved into its slot). */
     EventId schedule(Time when, Callback cb, const char *name = "");
 
-    /** Schedule @p cb to run @p delay after the current time. */
+    /** Schedule @p fn to run @p delay after the current time. */
+    template <typename F>
     EventId
-    scheduleAfter(Time delay, Callback cb, const char *name = "")
+    scheduleAfter(Time delay, F &&fn, const char *name = "")
     {
-        return schedule(now_ + delay, std::move(cb), name);
+        return schedule(now_ + delay, std::forward<F>(fn), name);
     }
 
     /**
@@ -268,11 +298,11 @@ class EventQueue
                state_[idx] == packState(genOf(id), true);
     }
 
-    /** Number of live (non-cancelled) events still queued. */
-    std::size_t pending() const { return live_; }
+    /** Number of live events still queued. */
+    std::size_t pending() const { return heap_.size(); }
 
     /** True when no live events remain. */
-    bool empty() const { return live_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /** Total number of events executed (fired) so far. */
     std::uint64_t executedEvents() const { return executed_; }
@@ -290,8 +320,12 @@ class EventQueue
      */
     std::size_t runAll(Time limit = kTimeNever);
 
-    /** Firing time of the next live event, or kTimeNever if none. */
-    Time nextEventTime() const;
+    /** Firing time of the next event, or kTimeNever if none. */
+    Time
+    nextEventTime() const
+    {
+        return heap_.empty() ? kTimeNever : heap_.top().when;
+    }
 
     /**
      * @name Checkpoint/restore support
@@ -315,11 +349,9 @@ class EventQueue
     void
     forEachPending(Fn &&fn) const
     {
-        for (const HeapEntry &e : heap_.entries()) {
-            if (state_[e.slot] == packState(e.gen, true))
-                fn(makeId(e.slot, e.gen), e.when, e.seq,
-                   slots_[e.slot].name);
-        }
+        for (const HeapEntry &e : heap_.entries())
+            fn(makeId(e.slot, state_[e.slot] >> 1), e.when, e.seq,
+               slot(e.slot).name);
     }
 
     /** Next sequence number to be handed out (image clock header). */
@@ -363,51 +395,80 @@ class EventQueue
     };
 
     // Per-slot (generation << 1) | live, kept in a dense side array so
-    // the stale-entry checks in the pop loop (and cancel/pendingEvent
-    // probes) stay within a few cache lines instead of striding across
-    // the fat callback slots.
+    // cancel() and pendingEvent() probes stay within a few cache lines
+    // instead of striding across the fat callback slots.
     static std::uint32_t
     packState(std::uint32_t gen, bool live)
     {
         return (gen << 1) | static_cast<std::uint32_t>(live);
     }
 
-    /** POD heap entry; slot+gen resolve the callback at pop time. */
+    /** POD heap entry; the slot resolves the callback at pop time. */
     struct HeapEntry
     {
         Time when;
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
     };
 
     /**
-     * 4-ary min-heap of HeapEntry ordered by (when, seq). Shallower
-     * than a binary heap and with children sharing cache lines, so the
-     * pop-heavy event loop touches fewer lines per operation.
+     * Indexed 4-ary min-heap of HeapEntry ordered by (when, seq).
+     * Shallower than a binary heap and with children sharing cache
+     * lines, so the pop-heavy event loop touches fewer lines per
+     * operation. Every sift step records where each moved entry now
+     * sits (pos_, indexed by slot), so any entry can be erased by slot.
      */
     class EventHeap
     {
       public:
         bool empty() const { return v_.empty(); }
+        std::size_t size() const { return v_.size(); }
         const HeapEntry &top() const { return v_.front(); }
         const std::vector<HeapEntry> &entries() const { return v_; }
+
+        /** Track one more slab slot. */
+        void addSlot() { pos_.push_back(0); }
+
+        /** True when @p slot's entry is where pos_ says it is. */
+        bool
+        holds(std::uint32_t slot) const
+        {
+            const std::uint32_t i = pos_[slot];
+            return i < v_.size() && v_[i].slot == slot;
+        }
 
         void
         push(const HeapEntry &e)
         {
             v_.push_back(e);
-            siftUp(v_.size() - 1);
+            siftUp(v_.size() - 1, e);
         }
 
         void
         pop()
         {
-            v_.front() = v_.back();
+            const HeapEntry last = v_.back();
             v_.pop_back();
             if (!v_.empty())
-                siftDown(0);
+                siftDown(0, last);
         }
+
+        /** Remove @p slot's entry: the last entry fills its hole. */
+        void
+        erase(std::uint32_t slot)
+        {
+            const std::size_t i = pos_[slot];
+            const HeapEntry last = v_.back();
+            v_.pop_back();
+            if (i == v_.size())
+                return;
+            if (i > 0 && before(last, v_[(i - 1) / 4]))
+                siftUp(i, last);
+            else
+                siftDown(i, last);
+        }
+
+        void clear() { v_.clear(); }
 
       private:
         static bool
@@ -419,23 +480,30 @@ class EventQueue
         }
 
         void
-        siftUp(std::size_t i)
+        place(std::size_t i, const HeapEntry &e)
         {
-            const HeapEntry e = v_[i];
+            v_[i] = e;
+            pos_[e.slot] = static_cast<std::uint32_t>(i);
+        }
+
+        /** Fill the hole at @p i with @p e (not an element of v_). */
+        void
+        siftUp(std::size_t i, const HeapEntry &e)
+        {
             while (i > 0) {
                 const std::size_t parent = (i - 1) / 4;
                 if (!before(e, v_[parent]))
                     break;
-                v_[i] = v_[parent];
+                place(i, v_[parent]);
                 i = parent;
             }
-            v_[i] = e;
+            place(i, e);
         }
 
+        /** Fill the hole at @p i with @p e (not an element of v_). */
         void
-        siftDown(std::size_t i)
+        siftDown(std::size_t i, const HeapEntry &e)
         {
-            const HeapEntry e = v_[i];
             const std::size_t n = v_.size();
             for (;;) {
                 const std::size_t first = 4 * i + 1;
@@ -450,13 +518,14 @@ class EventQueue
                 }
                 if (!before(v_[best], e))
                     break;
-                v_[i] = v_[best];
+                place(i, v_[best]);
                 i = best;
             }
-            v_[i] = e;
+            place(i, e);
         }
 
         std::vector<HeapEntry> v_;
+        std::vector<std::uint32_t> pos_;
     };
 
     static std::uint32_t
@@ -478,22 +547,43 @@ class EventQueue
                (static_cast<EventId>(slot) + 1);
     }
 
-    /** Drop stale (cancelled-and-reused-slot) heap heads. */
-    void skipStale() const;
+    // Slots live in fixed-size chunks so a callback executing in place
+    // stays put even if it schedules new events and grows the slab.
+    static constexpr unsigned kChunkBits = 8;
+    static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
 
-    /** Pop the (live) head and run its callback. */
+    Slot &
+    slot(std::uint32_t idx) const
+    {
+        return chunks_[idx >> kChunkBits][idx & kChunkMask];
+    }
+
+    /** A free slot index, growing the slab when none is free. */
+    std::uint32_t
+    takeSlot()
+    {
+        if (freeSlots_.empty())
+            return growSlab();
+        const std::uint32_t idx = freeSlots_.back();
+        freeSlots_.pop_back();
+        return idx;
+    }
+
+    std::uint32_t growSlab();
+
+    /** Make slot @p idx (callback already bound) live in the heap. */
+    EventId enqueue(std::uint32_t idx, Time when, std::uint64_t seq,
+                    const char *name);
+
+    /** Pop the head and run its callback. */
     void popAndRun();
 
-    // Slots live in a deque so references stay valid while a callback
-    // executes in place even if the callback schedules new events and
-    // grows the slab.
-    mutable EventHeap heap_;
-    std::deque<Slot> slots_;
+    EventHeap heap_;
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::vector<std::uint32_t> state_;
     std::vector<std::uint32_t> freeSlots_;
     Time now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    std::size_t live_ = 0;
     std::uint64_t executed_ = 0;
 };
 

@@ -60,13 +60,13 @@ formatTime(Time t)
 namespace detail {
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    // piso-lint: allow(hygiene-io) -- fatal diagnostics go to stderr by design; never part of deterministic report output
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     // Throwing (rather than exit()) keeps fatal conditions testable and
     // lets the sweep runner quarantine the task; ConfigError derives
-    // from std::runtime_error so legacy catch sites keep working.
+    // from std::runtime_error so legacy catch sites keep working. The
+    // catcher reports the message: printing it here as well showed
+    // every error twice.
     throw ConfigError("fatal: " + msg);
 }
 

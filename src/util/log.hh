@@ -69,8 +69,7 @@ void setLogLevel(LogLevel level);
 LogLevel logLevel();
 
 namespace detail {
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 void logImpl(LogLevel level, const std::string &msg);
@@ -88,10 +87,12 @@ concat(Args &&...args)
 
 } // namespace piso
 
-/** Terminate: unrecoverable *user* error (bad config, bad arguments). */
+/**
+ * Unrecoverable *user* error (bad config, bad arguments): throws a
+ * ConfigError and prints nothing; whoever catches it reports it.
+ */
 #define PISO_FATAL(...)                                                     \
-    ::piso::detail::fatalImpl(__FILE__, __LINE__,                           \
-                              ::piso::detail::concat(__VA_ARGS__))
+    ::piso::detail::fatalImpl(::piso::detail::concat(__VA_ARGS__))
 
 /** Terminate: internal invariant violation (a simulator bug). */
 #define PISO_PANIC(...)                                                     \

@@ -362,6 +362,33 @@ TEST(Determinism, ParallelTraceCapturesDoNotInterleave)
 // The engine surfaces worker exceptions deterministically
 // ---------------------------------------------------------------------
 
+TEST(Determinism, GridFaultDiskMustBeAWholeNumber)
+{
+    // A fractional disk used to truncate: 0.7 killed disk 0.
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"fault_disk_dead", "1:0.7"},
+             {"fault_disk_dead", "1:-1"},
+             {"fault_disk_slow", "1:0.5:1.5:4"},
+             {"fault_disk_error", "1:0.5:-2:0.5"}}) {
+        SystemConfig cfg;
+        try {
+            exp::applyGridKey(cfg, key, value);
+            ADD_FAILURE() << key << "=" << value << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("grid key '" + key + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_TRUE(cfg.faults.events().empty());
+    }
+
+    SystemConfig cfg;
+    exp::applyGridKey(cfg, "fault_disk_dead", "1:1");
+    ASSERT_EQ(cfg.faults.events().size(), 1u);
+    EXPECT_EQ(cfg.faults.events()[0].disk, 1);
+}
+
 TEST(Determinism, UnknownGridKeyThrows)
 {
     EXPECT_THROW(exp::parseGridAxis("nonsense"), std::runtime_error);

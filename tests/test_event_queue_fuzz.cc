@@ -6,7 +6,8 @@
  * of the simulator deterministic; these tests interleave schedule /
  * cancel / runOne operations — deliberately piling events onto equal
  * timestamps — and check the firing order, the pending bookkeeping,
- * and the lazy-cancellation corner cases against a sorted-list model.
+ * the cancellation corner cases, and that the heap holds only live
+ * events, against a sorted-list model.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +18,10 @@
 
 #include "src/sim/event_queue.hh"
 #include "src/sim/random.hh"
+#include "tests/event_queue_test_util.hh"
 
 using namespace piso;
+using piso::test::expectHeapHoldsExactly;
 
 namespace {
 
@@ -109,8 +112,12 @@ TEST(EventQueueFuzz, InterleavedOpsPreserveFifoOrder)
             // Bookkeeping invariants hold after every operation.
             EXPECT_EQ(q.pending(), model.size());
             EXPECT_EQ(q.empty(), model.empty());
-            for (const ModelEvent &e : model)
+            std::vector<EventId> live;
+            for (const ModelEvent &e : model) {
                 EXPECT_TRUE(q.pendingEvent(e.id));
+                live.push_back(e.id);
+            }
+            expectHeapHoldsExactly(q, live);
         }
 
         // Drain: the remainder fires in exact (when, order) order.
@@ -180,8 +187,8 @@ TEST(EventQueueFuzz, ScheduleFromCallbackAtSameInstant)
 
 TEST(EventQueueFuzz, CancelStormThenDrain)
 {
-    // Schedule a burst, cancel most of it, and make sure the lazy
-    // tombstones neither fire nor linger in the counts.
+    // Schedule a burst, cancel most of it, and make sure the cancelled
+    // events neither fire nor linger in the counts.
     Rng rng(13);
     EventQueue q;
     std::vector<EventId> ids;
@@ -202,4 +209,82 @@ TEST(EventQueueFuzz, CancelStormThenDrain)
     q.runAll();
     EXPECT_EQ(fired.size(), live);
     EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueFuzz, HeavyCancelChurnKeepsOrderAndLeavesNoStaleEntries)
+{
+    // The simulator's pattern: most events are far-future deadlines
+    // (slice ends, timeouts) that get cancelled and re-armed long
+    // before they fire, while near-term events keep the clock moving.
+    Rng rng(2024);
+    for (int trial = 0; trial < 10; ++trial) {
+        EventQueue q;
+        std::vector<ModelEvent> model;
+        std::vector<int> fired;
+        std::uint64_t order = 0;
+        int nextPayload = 0;
+
+        const auto schedule = [&](Time when) {
+            const int payload = nextPayload++;
+            const EventId id = q.schedule(
+                when, [payload, &fired] { fired.push_back(payload); },
+                "churn");
+            model.push_back({when, order++, id, payload});
+        };
+
+        for (int op = 0; op < 2000; ++op) {
+            const std::size_t pick = rng.uniformInt(10);
+            if (pick < 3) { // far deadline
+                schedule(q.now() + 1000 +
+                         static_cast<Time>(rng.uniformInt(5000)));
+            } else if (pick < 5) { // near-term, often a tie
+                schedule(q.now() + static_cast<Time>(rng.uniformInt(4)));
+            } else if (pick < 8) { // cancel anywhere in the heap
+                if (!model.empty()) {
+                    const std::size_t i = rng.uniformInt(model.size());
+                    EXPECT_TRUE(q.cancel(model[i].id));
+                    model.erase(model.begin() +
+                                static_cast<std::ptrdiff_t>(i));
+                }
+            } else { // fire the head
+                const bool hadWork = !model.empty();
+                EXPECT_EQ(q.runOne(), hadWork);
+                if (hadWork) {
+                    const auto head = std::min_element(
+                        model.begin(), model.end(),
+                        [](const ModelEvent &a, const ModelEvent &b) {
+                            if (a.when != b.when)
+                                return a.when < b.when;
+                            return a.order < b.order;
+                        });
+                    ASSERT_FALSE(fired.empty());
+                    EXPECT_EQ(fired.back(), head->payload);
+                    EXPECT_EQ(q.now(), head->when);
+                    model.erase(head);
+                }
+            }
+
+            std::vector<EventId> live;
+            Time next = kTimeNever;
+            for (const ModelEvent &e : model) {
+                live.push_back(e.id);
+                next = std::min(next, e.when);
+            }
+            EXPECT_EQ(q.nextEventTime(), next);
+            expectHeapHoldsExactly(q, live);
+        }
+
+        std::stable_sort(model.begin(), model.end(),
+                         [](const ModelEvent &a, const ModelEvent &b) {
+                             if (a.when != b.when)
+                                 return a.when < b.when;
+                             return a.order < b.order;
+                         });
+        const std::size_t firedBefore = fired.size();
+        q.runAll();
+        ASSERT_EQ(fired.size(), firedBefore + model.size());
+        for (std::size_t i = 0; i < model.size(); ++i)
+            EXPECT_EQ(fired[firedBefore + i], model[i].payload);
+        expectHeapHoldsExactly(q, {});
+    }
 }

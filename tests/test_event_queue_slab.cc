@@ -6,7 +6,9 @@
  * cancel or an execution, and the generation bump is what makes a
  * stale id — one whose slot has since been reused — harmless. These
  * tests pin that lifecycle (reuse, stale rejection, the executed-event
- * counter) and fuzz the whole thing against the same sorted-list model
+ * counter), the indexed heap's invariant that it holds only live
+ * events (cancel removes the entry at once, wherever it sits), and
+ * fuzz the whole thing against the same sorted-list model
  * test_event_queue_fuzz uses, with extra stale-id probing.
  */
 
@@ -18,8 +20,10 @@
 
 #include "src/sim/event_queue.hh"
 #include "src/sim/random.hh"
+#include "tests/event_queue_test_util.hh"
 
 using namespace piso;
+using piso::test::expectHeapHoldsExactly;
 
 namespace {
 
@@ -114,6 +118,90 @@ TEST(EventQueueSlab, IdsAreNeverNoEvent)
         EXPECT_NE(q.schedule(1, [] {}), kNoEvent);
     EXPECT_FALSE(q.pendingEvent(kNoEvent));
     EXPECT_FALSE(q.cancel(kNoEvent));
+}
+
+// ---------------------------------------------------------------------
+// The heap holds only live events
+// ---------------------------------------------------------------------
+
+TEST(EventQueueSlab, CancelRemovesHeadMiddleAndLastEntries)
+{
+    // Increasing times push without sifting, so the heap array is in
+    // time order: t=1 is the head and t=9 the last entry.
+    EventQueue q;
+    std::vector<int> fired;
+    std::vector<EventId> ids;
+    for (int t = 1; t <= 9; ++t)
+        ids.push_back(q.schedule(static_cast<Time>(t),
+                                 [t, &fired] { fired.push_back(t); }));
+    expectHeapHoldsExactly(q, ids);
+
+    EXPECT_TRUE(q.cancel(ids[0]));  // head
+    EXPECT_EQ(q.nextEventTime(), 2);
+    EXPECT_TRUE(q.cancel(ids[4]));  // middle
+    EXPECT_TRUE(q.cancel(ids[8]));  // last
+    EXPECT_EQ(q.pending(), 6u);
+    expectHeapHoldsExactly(q, {ids[1], ids[2], ids[3], ids[5], ids[6],
+                               ids[7]});
+
+    q.runAll();
+    EXPECT_EQ(fired, (std::vector<int>{2, 3, 4, 6, 7, 8}));
+    expectHeapHoldsExactly(q, {});
+}
+
+TEST(EventQueueSlab, CancelFromAFiringCallbackAtTheSameInstant)
+{
+    EventQueue q;
+    std::vector<int> fired;
+    EventId self = kNoEvent;
+    EventId sibling = kNoEvent;
+    EventId later = kNoEvent;
+    self = q.schedule(5, [&] {
+        fired.push_back(1);
+        // The firing event is already retired; its sibling at the same
+        // instant and a later event are still queued.
+        EXPECT_FALSE(q.cancel(self));
+        EXPECT_TRUE(q.cancel(sibling));
+        EXPECT_TRUE(q.cancel(later));
+        EXPECT_FALSE(q.cancel(sibling));
+    });
+    sibling = q.schedule(5, [&] { fired.push_back(2); });
+    const EventId last = q.schedule(5, [&] { fired.push_back(3); });
+    later = q.schedule(7, [&] { fired.push_back(4); });
+
+    EXPECT_TRUE(q.runOne());
+    EXPECT_EQ(q.pending(), 1u);
+    expectHeapHoldsExactly(q, {last});
+    q.runAll();
+    EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+    EXPECT_EQ(q.now(), 5);
+}
+
+TEST(EventQueueSlab, ClearPendingEmptiesTheHeap)
+{
+    EventQueue q;
+    std::vector<EventId> old;
+    for (int i = 0; i < 20; ++i)
+        old.push_back(q.schedule(static_cast<Time>(10 + i % 3), [] {}));
+    q.clearPending();
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.nextEventTime(), kTimeNever);
+    expectHeapHoldsExactly(q, {});
+    for (const EventId id : old)
+        EXPECT_FALSE(q.pendingEvent(id));
+
+    // The emptied queue reuses the freed slots and still fires in
+    // (when, seq) order, ties in scheduling order.
+    std::vector<int> fired;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 6; ++i)
+        ids.push_back(q.schedule(static_cast<Time>(3 - i % 2),
+                                 [i, &fired] { fired.push_back(i); }));
+    expectHeapHoldsExactly(q, ids);
+    EXPECT_EQ(q.nextEventTime(), 2);
+    q.runAll();
+    EXPECT_EQ(fired, (std::vector<int>{1, 3, 5, 0, 2, 4}));
 }
 
 // ---------------------------------------------------------------------
@@ -222,8 +310,12 @@ TEST(EventQueueSlab, FuzzReuseParityWithModel)
             EXPECT_EQ(q.pending(), model.size());
             EXPECT_EQ(q.executedEvents(),
                       static_cast<std::uint64_t>(fired.size()));
-            for (const ModelEvent &e : model)
+            std::vector<EventId> live;
+            for (const ModelEvent &e : model) {
                 EXPECT_TRUE(q.pendingEvent(e.id));
+                live.push_back(e.id);
+            }
+            expectHeapHoldsExactly(q, live);
 
             // Every retired id stays dead no matter how often its slot
             // has been recycled since (probe a random sample).

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "src/config/workload_spec.hh"
 #include "src/piso.hh"
 
@@ -117,6 +121,86 @@ TEST(WorkloadSpec, RejectsMalformedInput)
                  std::runtime_error);
     EXPECT_THROW(parseWorkloadSpec(""), std::runtime_error);
     EXPECT_THROW(parseWorkloadSpec("spu u\n"), std::runtime_error);
+}
+
+namespace {
+
+/** The ConfigError text @p text raises, parsing and building its jobs. */
+std::string
+specError(const std::string &text)
+{
+    try {
+        for (const JobDecl &j : parseWorkloadSpec(text).jobs)
+            (void)buildJob(j);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(WorkloadSpec, IntegerOptionsRejectNegativeFractionalAndHuge)
+{
+    // Job, spu and [faults] integer options get the machine keys'
+    // check. Each error names the line, the option and the value.
+    struct Case
+    {
+        const char *text;
+        const char *want;
+    };
+    const Case cases[] = {
+        {"spu u\njob u copy name=c bytes_kb=-1\n",
+         "line 2: option 'bytes_kb' wants a non-negative integer, got '-1'"},
+        {"spu u\njob u pmake workers=2.9 files=2\n",
+         "line 2: option 'workers' wants a non-negative integer, got '2.9'"},
+        {"spu u\njob u pmake workers=2 files=1.5\n",
+         "line 2: option 'files' wants a non-negative integer, got '1.5'"},
+        {"spu u\njob u ocean procs=3000000000\n",
+         "option 'procs' wants a non-negative integer"},
+        {"spu u\njob u compute ws_pages=5000000000\n",
+         "option 'ws_pages' wants a non-negative integer"},
+        {"spu u\njob u oltp table_mb=-64\n",
+         "option 'table_mb' wants a non-negative integer"},
+        {"spu u\njob u web requests=-3 response_kb=0.5\n",
+         "option 'requests' wants a non-negative integer"},
+        {"spu u disk=-1\njob u compute\n",
+         "line 1: option 'disk' wants a non-negative integer, got '-1'"},
+        {"[spus]\nu disk=0.5\njob u compute\n",
+         "line 2: option 'disk' wants a non-negative integer, got '0.5'"},
+        {"spu u\njob u compute\n[faults]\ndisk_dead at_s=1 disk=0.7\n",
+         "line 4: option 'disk' wants a non-negative integer, got '0.7'"},
+        {"spu u\njob u compute\n[faults]\ncpu_offline at_s=1 count=1.5\n",
+         "line 4: option 'count' wants a non-negative integer"},
+        {"spu u\njob u compute\n[faults]\nmem_shrink at_s=1 mb=-8\n",
+         "line 4: option 'mb' wants a non-negative integer, got '-8'"},
+    };
+    for (const Case &c : cases) {
+        const std::string err = specError(c.text);
+        EXPECT_NE(err.find(c.want), std::string::npos)
+            << c.text << " -> '" << err << "'";
+    }
+
+    // Whole numbers, including 0 and the top of the range, still parse.
+    EXPECT_EQ(specError("spu u disk=0\njob u copy bytes_kb=1\n"
+                        "job u compute ws_pages=4294967295\n"),
+              "");
+}
+
+TEST(WorkloadSpec, EveryExampleSpecParses)
+{
+    std::size_t parsed = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(PISO_EXAMPLE_SPEC_DIR)) {
+        if (entry.path().extension() != ".piso")
+            continue;
+        std::ifstream in(entry.path());
+        std::stringstream text;
+        text << in.rdbuf();
+        EXPECT_EQ(specError(text.str()), "") << entry.path();
+        ++parsed;
+    }
+    EXPECT_GE(parsed, 5u);
 }
 
 TEST(WorkloadSpec, UnknownMachineOptionRejected)
